@@ -1,9 +1,10 @@
 # Tier-1 verification: build + full test suite, static analysis, gofmt
-# cleanliness, and the race detector over the concurrent packages (the
-# harness worker pool and the tv pipeline it drives).
-.PHONY: tier1 build test vet fmtcheck race bench benchall
+# cleanliness, the race detector over the concurrent packages (the
+# harness worker pool and the tv pipeline it drives), and the nested
+# benchmark module, which the root `go build ./...` does not reach.
+.PHONY: tier1 build test vet fmtcheck race perfbench bench benchall
 
-tier1: build test vet fmtcheck race
+tier1: build test vet fmtcheck race perfbench
 
 build:
 	go build ./...
@@ -25,16 +26,22 @@ fmtcheck:
 race:
 	go test -race -timeout 30m ./internal/harness ./internal/tv ./internal/telemetry ./internal/smt ./internal/store ./internal/tvd
 
+# perfbench vets and tests the benchmark-of-record module (perfbench/,
+# its own go.mod), so an API change that breaks it fails tier 1.
+perfbench:
+	go -C perfbench vet ./... && go -C perfbench test ./...
+
 # bench reproduces the Figure 6 comparisons — cache on/off, proof
 # emission on/off, tracing on/off, inprocessing/portfolio ablations,
-# cube-and-conquer tail legs with the adaptive portfolio, legacy vs
-# streaming certificate formats, cold vs warm daemon runs against the
-# persistent result store — and writes the machine-readable artifacts
-# BENCH_PR2.json, BENCH_PR3.json, BENCH_PR5.json, BENCH_PR6.json,
-# BENCH_PR7.json, BENCH_PR8.json, and BENCH_PR9.json.
+# cube-and-conquer tail legs with the adaptive portfolio, cold vs warm
+# daemon runs against the persistent result store — and writes the
+# machine-readable artifacts BENCH_PR2.json, BENCH_PR3.json,
+# BENCH_PR5.json, BENCH_PR6.json, BENCH_PR8.json, and BENCH_PR9.json.
+# BENCH_PR7.json (legacy vs streaming certificates) is frozen history:
+# the legacy format it compared against no longer exists.
 bench:
 	go test -run '^$$' -bench 'BenchmarkFigure6' -benchtime 1x .
-	WRITE_BENCH_JSON=1 go test -timeout 60m -run 'TestBenchPR2JSON|TestBenchPR3JSON|TestBenchPR5JSON|TestBenchPR6JSON|TestBenchPR7JSON|TestBenchPR8JSON|TestBenchPR9JSON' -v .
+	WRITE_BENCH_JSON=1 go test -timeout 60m -run 'TestBenchPR2JSON|TestBenchPR3JSON|TestBenchPR5JSON|TestBenchPR6JSON|TestBenchPR8JSON|TestBenchPR9JSON' -v .
 
 benchall:
 	go test -bench=. -benchmem

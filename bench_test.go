@@ -13,10 +13,8 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"os"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -716,158 +714,6 @@ func TestBenchPR5JSON(t *testing.T) {
 	if ratio > 1.10 {
 		t.Errorf("tracing overhead %.2fx exceeds 1.10x wall-clock target", ratio)
 	}
-}
-
-// heapSampler polls the live heap every 10ms and tracks its maximum —
-// the peak-RSS proxy used by the certificate-scale artifact. stop() ends
-// the sampling and returns the observed peak in bytes.
-func heapSampler() (stop func() int64) {
-	var peak atomic.Int64
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	sample := func() {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		if h := int64(ms.HeapAlloc); h > peak.Load() {
-			peak.Store(h)
-		}
-	}
-	go func() {
-		defer close(finished)
-		tick := time.NewTicker(10 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-done:
-				sample()
-				return
-			case <-tick.C:
-				sample()
-			}
-		}
-	}()
-	return func() int64 {
-		close(done)
-		<-finished
-		return peak.Load()
-	}
-}
-
-// TestBenchPR7JSON writes the certificate & memory scale artifact
-// BENCH_PR7.json (the `make bench` target): the Figure 6 corpus run with
-// the schema-1 buffered certificate writers (the -proof-legacy ablation)
-// versus the schema-2 streaming writers — binary DRAT, shared term
-// table, per-query flushing. Class counts must be byte-identical to the
-// serial baseline in both modes, both directories must pass the
-// independent verifier with zero rejections, the streaming artifacts
-// must come in under the 150 KB/function budget, and the peak heap of
-// verification must drop. Gated behind WRITE_BENCH_JSON like the other
-// artifact writers.
-func TestBenchPR7JSON(t *testing.T) {
-	if os.Getenv("WRITE_BENCH_JSON") == "" {
-		t.Skip("set WRITE_BENCH_JSON=1 to write BENCH_PR7.json")
-	}
-	const workers = 4
-	const bytesPerFnBudget = 150 * 1024
-	type configResult struct {
-		WallSeconds      float64        `json:"wall_seconds"`
-		CPUSeconds       float64        `json:"cpu_seconds"`
-		ProofBytes       int64          `json:"proof_bytes"`
-		BytesPerFunction int64          `json:"proof_bytes_per_function"`
-		EmitPeakHeap     int64          `json:"emit_peak_heap_bytes"`
-		CheckWallSeconds float64        `json:"proofcheck_wall_seconds"`
-		CheckPeakHeap    int64          `json:"proofcheck_peak_heap_bytes"`
-		Certified        int            `json:"functions_certified"`
-		Counts           map[string]int `json:"class_counts"`
-	}
-	measure := func(legacy bool) configResult {
-		dir := t.TempDir()
-		cfg := figure6Config(workers, true)
-		cfg.ProofDir = dir
-		cfg.ProofLegacy = legacy
-
-		runtime.GC()
-		stop := heapSampler()
-		start := time.Now()
-		sum := harness.Run(cfg)
-		wall := time.Since(start)
-		emitPeak := stop()
-		if sum.ProofErr != nil {
-			t.Fatal(sum.ProofErr)
-		}
-
-		runtime.GC()
-		stop = heapSampler()
-		start = time.Now()
-		report, err := proof.CheckDir(dir)
-		checkWall := time.Since(start)
-		checkPeak := stop()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(report.Rejections) != 0 {
-			t.Fatalf("legacy=%v: proofcheck rejected %d certificates, first: %s",
-				legacy, len(report.Rejections), report.Rejections[0])
-		}
-		return configResult{
-			WallSeconds:      wall.Seconds(),
-			CPUSeconds:       sum.CPUTime.Seconds(),
-			ProofBytes:       sum.SMTStats.ProofBytes,
-			BytesPerFunction: sum.SMTStats.ProofBytes / int64(figure6Corpus),
-			EmitPeakHeap:     emitPeak,
-			CheckWallSeconds: checkWall.Seconds(),
-			CheckPeakHeap:    checkPeak,
-			Certified:        sum.Certified,
-			Counts:           sum.ClassCounts(),
-		}
-	}
-	base := fig6BaselineCounts()
-	legacy := measure(true)
-	streaming := measure(false)
-	if fmt.Sprint(legacy.Counts) != base || fmt.Sprint(streaming.Counts) != base {
-		t.Fatalf("class counts diverged: baseline %s, legacy %v, streaming %v",
-			base, legacy.Counts, streaming.Counts)
-	}
-	if streaming.BytesPerFunction > bytesPerFnBudget {
-		t.Errorf("streaming artifacts %d B/function exceed the %d B budget",
-			streaming.BytesPerFunction, bytesPerFnBudget)
-	}
-	if streaming.ProofBytes >= legacy.ProofBytes {
-		t.Errorf("streaming artifacts (%d B) not smaller than legacy (%d B)",
-			streaming.ProofBytes, legacy.ProofBytes)
-	}
-	if streaming.CheckPeakHeap >= legacy.CheckPeakHeap {
-		t.Errorf("streaming verification peak heap (%d B) not below legacy (%d B)",
-			streaming.CheckPeakHeap, legacy.CheckPeakHeap)
-	}
-	artifact := struct {
-		Benchmark       string       `json:"benchmark"`
-		Corpus          int          `json:"corpus_functions"`
-		Workers         int          `json:"workers"`
-		Legacy          configResult `json:"cert_refactor_off"`
-		Streaming       configResult `json:"cert_refactor_on"`
-		SizeRatio       float64      `json:"proof_bytes_ratio_legacy_over_streaming"`
-		BytesPerFnLimit int64        `json:"proof_bytes_per_function_budget"`
-	}{
-		Benchmark:       "Figure6-certificate-scale",
-		Corpus:          figure6Corpus,
-		Workers:         workers,
-		Legacy:          legacy,
-		Streaming:       streaming,
-		SizeRatio:       float64(legacy.ProofBytes) / float64(streaming.ProofBytes),
-		BytesPerFnLimit: bytesPerFnBudget,
-	}
-	data, err := json.MarshalIndent(artifact, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_PR7.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("BENCH_PR7.json: legacy %d B (%d B/fn, check peak %d B), streaming %d B (%d B/fn, check peak %d B), %.2fx smaller",
-		legacy.ProofBytes, legacy.BytesPerFunction, legacy.CheckPeakHeap,
-		streaming.ProofBytes, streaming.BytesPerFunction, streaming.CheckPeakHeap,
-		artifact.SizeRatio)
 }
 
 // TestBenchPR8JSON writes the validation-as-a-service artifact

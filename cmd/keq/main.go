@@ -111,7 +111,7 @@ func main() {
 		check(err)
 		check(dw.Close())
 		m := &proof.Manifest{
-			Schema: proof.SchemaStreaming, Terms: proof.TermsName,
+			Terms:     proof.TermsName,
 			TermCount: dw.Table().Len(),
 			Functions: []proof.ManifestRow{{
 				Name: fn.Name, Class: out.Class.String(),

@@ -164,7 +164,6 @@ func materializeStoreEntry(storeDir, keyHex string) string {
 	err = store.MaterializeEntry(dir, e)
 	if err == nil {
 		err = proof.WriteManifest(dir, &proof.Manifest{
-			Schema: proof.SchemaStreaming,
 			Functions: []proof.ManifestRow{{
 				Name: e.Meta.Function, Class: e.Meta.Class, Certified: e.Meta.Certified,
 			}},

@@ -76,8 +76,6 @@ func run() int {
 	jobs := flag.Int("j", 0, "parallel validation workers for fig6/fig7 (0 = GOMAXPROCS)")
 	stats := flag.Bool("stats", false, "print run-wide solver and worker-pool statistics")
 	emitProofs := flag.String("emit-proofs", "", "write proof certificates and bisimulation witnesses to this directory (verify with proofcheck)")
-	proofLegacy := flag.Bool("proof-legacy", false, "ablation: emit buffered schema-1 proof artifacts (textual DRAT, per-function term tables)")
-	noScratch := flag.Bool("no-scratch", false, "ablation: disable per-worker arena scratch reuse between functions")
 	traceFile := flag.String("trace", "", "write a JSONL span trace of every pipeline phase and SMT query to this file (lint with tracelint)")
 	phaseReport := flag.Bool("phase-report", false, "print the per-phase time breakdown (and the timeout/OOM tail's)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -143,7 +141,7 @@ func run() int {
 			copts.Portfolio = smt.NewPortfolio(runtime.GOMAXPROCS(0))
 			copts.Portfolio.Acquire() // the pipeline's own slot
 		}
-		code = validateFile(flag.Arg(0), copts, budget, *emitProofs, *proofLegacy, *noScratch, tracer, *phaseReport)
+		code = validateFile(flag.Arg(0), copts, budget, *emitProofs, tracer, *phaseReport)
 	case "fig6", "fig7", "eval":
 		if *server != "" {
 			// Remote experiment: the daemon validates the same synthetic
@@ -182,8 +180,6 @@ func run() int {
 			DisableVCCache:   *noVCCache,
 			DisablePortfolio: *noPortfolio,
 			ProofDir:         *emitProofs,
-			ProofLegacy:      *proofLegacy,
-			DisableScratch:   *noScratch,
 			Tracer:           tracer,
 		}
 		if *progress {
@@ -225,13 +221,11 @@ func run() int {
 }
 
 func validateFile(path string, copts core.Options, budget tv.Budget, proofDir string,
-	proofLegacy, noScratch bool, tracer *telemetry.Tracer, phaseReport bool) int {
+	tracer *telemetry.Tracer, phaseReport bool) int {
 	m := telemetry.NewMetrics()
 	copts.Trace = tracer
 	copts.Metrics = m
-	if !noScratch {
-		copts.Scratch = smt.NewScratch()
-	}
+	copts.Scratch = smt.NewScratch()
 
 	parseStart := time.Now()
 	src, err := os.ReadFile(path)
@@ -242,7 +236,7 @@ func validateFile(path string, copts core.Options, budget tv.Budget, proofDir st
 	m.Observe("phase.parse", time.Since(parseStart))
 
 	var dw *proof.DirWriter
-	if proofDir != "" && !proofLegacy {
+	if proofDir != "" {
 		dw, err = proof.NewDirWriter(proofDir)
 		check(err)
 	}
@@ -254,33 +248,17 @@ func validateFile(path string, copts core.Options, budget tv.Budget, proofDir st
 			continue
 		}
 		var rec *proof.Recorder
-		if proofDir != "" {
-			if dw != nil {
-				rec = dw.NewRecorder(fn.Name)
-			} else {
-				rec = proof.NewRecorder(fn.Name)
-			}
+		if dw != nil {
+			rec = dw.NewRecorder(fn.Name)
 			copts.Proof = rec
 		}
 		out := tv.Validate(mod, fn.Name, isel.Options{}, vcgen.Options{}, copts, budget)
 		harness.RecordOutcome(m, 0, out)
-		certified := false
 		if rec != nil {
-			if dw != nil {
-				_, err := rec.Close(out.Class == tv.ClassSucceeded)
-				check(err)
-				certified = out.Class == tv.ClassSucceeded
-			} else {
-				_, err := proof.WriteCerts(proofDir, rec)
-				check(err)
-				if out.Class == tv.ClassSucceeded {
-					_, err := proof.WriteWitness(proofDir, rec)
-					check(err)
-					certified = true
-				}
-			}
+			_, err := rec.Close(out.Class == tv.ClassSucceeded)
+			check(err)
 			manifest.Functions = append(manifest.Functions, proof.ManifestRow{
-				Name: fn.Name, Class: out.Class.String(), Certified: certified,
+				Name: fn.Name, Class: out.Class.String(), Certified: out.Class == tv.ClassSucceeded,
 			})
 		}
 		fmt.Printf("@%-30s %-28s %8.2fs  %d points\n",
@@ -299,11 +277,8 @@ func validateFile(path string, copts core.Options, budget tv.Budget, proofDir st
 	}
 	if dw != nil {
 		check(dw.Close())
-		manifest.Schema = proof.SchemaStreaming
 		manifest.Terms = proof.TermsName
 		manifest.TermCount = dw.Table().Len()
-	}
-	if proofDir != "" {
 		check(proof.WriteManifest(proofDir, &manifest))
 	}
 	if phaseReport {

@@ -74,18 +74,10 @@ type Config struct {
 	// dangle), a bisimulation witness for each Succeeded function, and a
 	// MANIFEST.json for the run. Verify with cmd/proofcheck.
 	//
-	// By default emission streams (schema 2): one run-wide shared term
-	// table, binary DRAT traces, and certificates flushed per query, so
-	// peak memory is bounded by the largest single query rather than the
-	// run. Set ProofLegacy for the buffered schema-1 format.
+	// Emission streams: one run-wide shared term table, binary DRAT
+	// traces, and certificates flushed per query, so peak memory is
+	// bounded by the largest single query rather than the run.
 	ProofDir string
-	// ProofLegacy reverts proof emission to the buffered schema-1 format
-	// (per-function term tables, textual DRAT). Comparison/ablation only.
-	ProofLegacy bool
-	// DisableScratch turns off the per-worker arena scratch (reusable
-	// term-table storage and blaster literal slabs) and reverts to fresh
-	// heap allocations per function (ablation).
-	DisableScratch bool
 	// Tracer, when non-nil, receives one span tree per validated function
 	// — harness.fn > harness.parse + tv.validate > per-phase and per-SMT-
 	// query spans. The tracer is shared by all workers (it is
@@ -170,17 +162,13 @@ func Run(cfg Config) *Summary {
 	sum := &Summary{Total: len(fns), Workers: workers, Rows: make([]ResultRow, len(fns)),
 		Metrics: telemetry.NewMetrics()}
 	var dw *proof.DirWriter
-	if cfg.ProofDir != "" && !cfg.ProofLegacy {
-		var err error
-		dw, err = proof.NewDirWriter(cfg.ProofDir)
-		if err != nil {
-			// Record the run-level failure and leave ProofDir set: the
-			// workers fall back to the buffered per-row writers, whose
-			// attempts against the broken directory surface the failure on
-			// every row instead of silently running uncertified.
-			sum.ProofErr = err
-			dw = nil
-		}
+	var dwErr error
+	if cfg.ProofDir != "" {
+		// A directory that cannot be written fails every row's proof
+		// emission (stamped below) rather than running silently
+		// uncertified.
+		dw, dwErr = proof.NewDirWriter(cfg.ProofDir)
+		sum.ProofErr = dwErr
 	}
 	start := time.Now()
 
@@ -190,7 +178,6 @@ func Run(cfg Config) *Summary {
 		Workers:          workers,
 		Portfolio:        cfg.Checker.Portfolio,
 		DisablePortfolio: cfg.DisablePortfolio,
-		DisableScratch:   cfg.DisableScratch,
 	})
 	var (
 		mu   sync.Mutex // guards sum's aggregates, done, and Progress writes
@@ -202,15 +189,17 @@ func Run(cfg Config) *Summary {
 			vopts.CoarseLiveness = true
 		}
 		pool.Submit(Job{
-			Fn:       fns[i],
-			Index:    i,
-			VCGen:    vopts,
-			Checker:  cfg.Checker,
-			Budget:   cfg.Budget,
-			DW:       dw,
-			ProofDir: cfg.ProofDir,
-			Tracer:   cfg.Tracer,
+			Fn:      fns[i],
+			Index:   i,
+			VCGen:   vopts,
+			Checker: cfg.Checker,
+			Budget:  cfg.Budget,
+			DW:      dw,
+			Tracer:  cfg.Tracer,
 			Done: func(res JobResult) {
+				if dwErr != nil {
+					res.Row.ProofErr = dwErr
+				}
 				sum.Rows[res.Index] = res.Row // index-disjoint writes: no lock needed
 				mu.Lock()
 				sum.SMTStats.Add(res.Stats)
@@ -236,10 +225,8 @@ func Run(cfg Config) *Summary {
 		sum.SMTStats.ProofBytes += dw.TermBytes()
 	}
 	if cfg.ProofDir != "" {
-		m := &proof.Manifest{}
+		m := &proof.Manifest{Terms: proof.TermsName}
 		if dw != nil {
-			m.Schema = proof.SchemaStreaming
-			m.Terms = proof.TermsName
 			m.TermCount = dw.Table().Len()
 		}
 		for _, r := range sum.Rows {
@@ -320,14 +307,8 @@ func validateOne(j Job) (row ResultRow, stats smt.Stats, m *telemetry.Metrics) {
 			if rec != nil {
 				// Certificates recorded before the panic may already back
 				// cache entries other functions reference; keep them.
-				var perr error
-				if j.DW != nil {
-					var n int64
-					n, perr = rec.Close(false)
-					stats.ProofBytes += n
-				} else {
-					_, perr = proof.WriteCerts(j.ProofDir, rec)
-				}
+				n, perr := rec.Close(false)
+				stats.ProofBytes += n
 				if perr != nil {
 					row.ProofErr = perr
 				}
@@ -354,12 +335,8 @@ func validateOne(j Job) (row ResultRow, stats smt.Stats, m *telemetry.Metrics) {
 			Err:      fmt.Errorf("harness: corpus function %s does not parse: %w", f.Name, err),
 		}, stats, m
 	}
-	if j.ProofDir != "" || j.DW != nil {
-		if j.DW != nil {
-			rec = j.DW.NewRecorder(f.Name)
-		} else {
-			rec = proof.NewRecorder(f.Name)
-		}
+	if j.DW != nil {
+		rec = j.DW.NewRecorder(f.Name)
 		j.Checker.Proof = rec
 	}
 	out = tv.Validate(mod, f.Name, j.ISel, j.VCGen, j.Checker, j.Budget)
@@ -372,21 +349,8 @@ func validateOne(j Job) (row ResultRow, stats smt.Stats, m *telemetry.Metrics) {
 		// a "ref" certificate in another function can always resolve; the
 		// witness is written only when validation succeeded. ProofBytes
 		// counts what actually landed on disk for this function.
-		var perr error
-		var bytes int64
-		if j.DW != nil {
-			bytes, perr = rec.Close(out.Class == tv.ClassSucceeded)
-			row.Certified = out.Class == tv.ClassSucceeded && perr == nil
-		} else {
-			bytes, perr = proof.WriteCerts(j.ProofDir, rec)
-			if perr == nil && out.Class == tv.ClassSucceeded {
-				var n int64
-				if n, perr = proof.WriteWitness(j.ProofDir, rec); perr == nil {
-					bytes += n
-					row.Certified = true
-				}
-			}
-		}
+		bytes, perr := rec.Close(out.Class == tv.ClassSucceeded)
+		row.Certified = out.Class == tv.ClassSucceeded && perr == nil
 		out.SMTStats.ProofBytes = bytes
 		if perr != nil {
 			row.ProofErr = perr

@@ -50,8 +50,6 @@ type PoolConfig struct {
 	Portfolio *smt.Portfolio
 	// DisablePortfolio turns portfolio racing off (ablation).
 	DisablePortfolio bool
-	// DisableScratch turns per-worker arena reuse off (ablation).
-	DisableScratch bool
 }
 
 // NewPool starts the workers and returns the pool. Close joins them.
@@ -71,10 +69,7 @@ func NewPool(cfg PoolConfig) *Pool {
 			defer p.wg.Done()
 			// The worker's scratch lives as long as the pool: reset
 			// between jobs, never reallocated, never shared.
-			var scratch *smt.Scratch
-			if !cfg.DisableScratch {
-				scratch = smt.NewScratch()
-			}
+			scratch := smt.NewScratch()
 			for j := range p.jobs {
 				p.runJob(j, scratch)
 			}
@@ -151,11 +146,8 @@ type Job struct {
 	VCGen   vcgen.Options
 	Checker core.Options
 	Budget  tv.Budget
-	// DW, when non-nil, makes the job emit streaming (schema 2) proof
-	// artifacts through it. ProofDir set with DW nil selects the
-	// buffered schema-1 writers into that directory.
-	DW       *proof.DirWriter
-	ProofDir string
+	// DW, when non-nil, makes the job emit proof artifacts through it.
+	DW *proof.DirWriter
 	// Tracer, when non-nil, receives the job's span tree.
 	Tracer *telemetry.Tracer
 	// Submitted is when the job entered the queue (stamped by

@@ -146,13 +146,4 @@ func TestPoolScratchPersists(t *testing.T) {
 			t.Fatalf("job %d got a different arena than job 0: reuse broken", i)
 		}
 	}
-
-	// The DisableScratch ablation reverts to no arena.
-	scratchs = nil
-	p = NewPool(PoolConfig{Workers: 1, Queue: 1, DisableScratch: true})
-	p.Submit(Job{Fn: fns[0], Budget: tv.Budget{MaxTermNodes: 2_000_000}})
-	p.Close()
-	if len(scratchs) != 1 || scratchs[0] != nil {
-		t.Fatalf("DisableScratch: scratch still attached: %v", scratchs)
-	}
 }

@@ -173,28 +173,22 @@ func appendUvarint(b []byte, v uint64) []byte {
 	return append(b, tmp[:n]...)
 }
 
-// WalkDrat streams the steps of a .drat file in either format — the
-// binary container above, or the line-oriented text format of schema 1 —
-// dispatching on the magic bytes. The literal slice passed to fn is
-// reused between calls and must not be retained.
+// WalkDrat streams the steps of a binary .drat file (the container
+// above). Anything without the container header — in particular the
+// retired schema-1 text traces — is rejected. The literal slice passed
+// to fn is reused between calls and must not be retained.
 func WalkDrat(r io.Reader, fn func(sess int, op byte, lits []int32) error) error {
 	br := bufio.NewReaderSize(r, 1<<16)
-	head, err := br.Peek(len(binDratMagic) + 1)
-	if err == nil && len(head) > len(binDratMagic) && string(head[:len(binDratMagic)]) == binDratMagic {
-		if head[len(binDratMagic)] != BinDratVersion {
-			return fmt.Errorf("proof: binary drat version %d, checker supports %d",
-				head[len(binDratMagic)], BinDratVersion)
-		}
-		if _, err := br.Discard(len(binDratMagic) + 1); err != nil {
-			return err
-		}
-		return walkBinaryDrat(br, fn)
+	head, _ := br.Peek(len(binDratMagic) + 1)
+	if len(head) < len(binDratMagic)+1 || string(head[:len(binDratMagic)]) != binDratMagic {
+		return fmt.Errorf("proof: unsupported trace: not a binary DRAT container (text traces are no longer accepted)")
 	}
-	return walkTextDrat(br, fn)
-}
-
-func walkBinaryDrat(r io.Reader, fn func(sess int, op byte, lits []int32) error) error {
-	fr := flate.NewReader(r)
+	if head[len(binDratMagic)] != BinDratVersion {
+		return fmt.Errorf("proof: binary drat version %d, checker supports %d",
+			head[len(binDratMagic)], BinDratVersion)
+	}
+	br.Discard(len(binDratMagic) + 1)
+	fr := flate.NewReader(br)
 	defer fr.Close()
 	rd := bufio.NewReaderSize(fr, 1<<15)
 	cur := -1
@@ -259,72 +253,4 @@ func walkBinaryDrat(r io.Reader, fn func(sess int, op byte, lits []int32) error)
 			return fmt.Errorf("proof: binary drat: unknown record 0x%02x", b)
 		}
 	}
-}
-
-// walkTextDrat streams the schema-1 text format. Unlike ParseSessions it
-// tolerates revisiting an earlier session, making it a superset of the
-// strict append-only files the buffered writer produces.
-func walkTextDrat(br *bufio.Reader, fn func(sess int, op byte, lits []int32) error) error {
-	cur := -1
-	lineNo := 0
-	for {
-		line, err := br.ReadString('\n')
-		if line == "" && err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return err
-		}
-		lineNo++
-		for len(line) > 0 && (line[len(line)-1] == '\n' || line[len(line)-1] == '\r') {
-			line = line[:len(line)-1]
-		}
-		if line == "" {
-			if err == io.EOF {
-				return nil
-			}
-			continue
-		}
-		op := line[0]
-		rest := line[1:]
-		switch op {
-		case 's':
-			idx, perr := parseSessionIndex(rest)
-			if perr != nil || idx < 0 {
-				return fmt.Errorf("proof: line %d: bad session header %q", lineNo, line)
-			}
-			cur = idx
-		case OpInput, OpLearn, OpDelete:
-			if cur < 0 {
-				return fmt.Errorf("proof: line %d: step before session header", lineNo)
-			}
-			lits, perr := parseLits(rest)
-			if perr != nil {
-				return fmt.Errorf("proof: line %d: %v", lineNo, perr)
-			}
-			if err := fn(cur, op, lits); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("proof: line %d: unknown step %q", lineNo, line)
-		}
-		if err == io.EOF {
-			return nil
-		}
-	}
-}
-
-func parseSessionIndex(s string) (int, error) {
-	s = trimSpace(s)
-	if s == "" {
-		return 0, fmt.Errorf("empty session index")
-	}
-	n := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] < '0' || s[i] > '9' || n > (1<<30) {
-			return 0, fmt.Errorf("bad session index %q", s)
-		}
-		n = n*10 + int(s[i]-'0')
-	}
-	return n, nil
 }

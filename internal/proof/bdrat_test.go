@@ -4,12 +4,14 @@ package proof_test
 // random streams — arbitrary session interleavings, clause shapes, and
 // opcodes — must decode back to exactly the steps written (modulo the
 // canonical literal order the encoder imposes), and malformed headers or
-// truncated bodies must be rejected rather than misparsed.
+// truncated bodies — and the retired text format — must be rejected
+// rather than misparsed.
 
 import (
 	"bytes"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/proof"
@@ -134,36 +136,25 @@ func TestBinDratTruncatedRejected(t *testing.T) {
 	}
 }
 
-// TestBinDratTextFallback pins the format dispatch: a schema-1 text
-// trace walks through the same entry point.
-func TestBinDratTextFallback(t *testing.T) {
-	text := "s 0\ni 1 -2 0\nl -1 0\ns 1\ni 3 0\ns 0\nd 1 -2 0\n"
-	var got []dratStep
-	err := proof.WalkDrat(bytes.NewReader([]byte(text)), func(sess int, op byte, lits []int32) error {
-		got = append(got, dratStep{sess, op, append([]int32(nil), lits...)})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []dratStep{
-		{0, proof.OpInput, []int32{1, -2}},
-		{0, proof.OpLearn, []int32{-1}},
-		{1, proof.OpInput, []int32{3}},
-		{0, proof.OpDelete, []int32{1, -2}},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("decoded %d steps, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].sess != want[i].sess || got[i].op != want[i].op ||
-			len(got[i].lits) != len(want[i].lits) {
-			t.Fatalf("step %d: got %+v, want %+v", i, got[i], want[i])
+// TestBinDratTextRejected pins the single decode path: a retired
+// schema-1 text trace is rejected as unsupported, not parsed, and fn
+// never sees a step of it.
+func TestBinDratTextRejected(t *testing.T) {
+	for _, text := range []string{
+		"s 0\ni 1 -2 0\nl -1 0\ns 1\ni 3 0\ns 0\nd 1 -2 0\n",
+		"s 2\ni 1 -2 0\ns 0\ni 3 0\n", // out-of-order first appearances
+		"",
+	} {
+		steps := 0
+		err := proof.WalkDrat(bytes.NewReader([]byte(text)), func(int, byte, []int32) error {
+			steps++
+			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "unsupported") {
+			t.Errorf("text trace %q: err = %v, want an unsupported-format rejection", text, err)
 		}
-		for j := range want[i].lits {
-			if got[i].lits[j] != want[i].lits[j] {
-				t.Fatalf("step %d: got %+v, want %+v", i, got[i], want[i])
-			}
+		if steps != 0 {
+			t.Errorf("text trace %q: walked %d steps before rejecting", text, steps)
 		}
 	}
 }
@@ -173,6 +164,8 @@ func TestBinDratTextFallback(t *testing.T) {
 // a later-created session (a winning portfolio racer's) may write before
 // an earlier one (the lazily-flushed incremental session). Both the
 // writer and the walker must accept first appearances in any order.
+// (The same ordering in the retired text format is rejected; see
+// TestBinDratTextRejected.)
 func TestBinDratOutOfOrderSessions(t *testing.T) {
 	steps := []dratStep{
 		{2, proof.OpInput, []int32{1, -2}}, // racer session flushes first
@@ -206,18 +199,6 @@ func TestBinDratOutOfOrderSessions(t *testing.T) {
 			t.Fatalf("step %d: got session %d op %q, want %d %q",
 				i, got[i].sess, got[i].op, w.sess, w.op)
 		}
-	}
-	// The text fallback accepts the same ordering.
-	text := "s 2\ni 1 -2 0\ns 0\ni 3 0\n"
-	var tsess []int
-	if err := proof.WalkDrat(bytes.NewReader([]byte(text)), func(sess int, _ byte, _ []int32) error {
-		tsess = append(tsess, sess)
-		return nil
-	}); err != nil {
-		t.Fatalf("text walk: %v", err)
-	}
-	if len(tsess) != 2 || tsess[0] != 2 || tsess[1] != 0 {
-		t.Fatalf("text sessions = %v, want [2 0]", tsess)
 	}
 	if bw.Step(-1, proof.OpInput, nil) == nil {
 		t.Fatal("negative session accepted")

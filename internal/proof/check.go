@@ -56,12 +56,11 @@ type dratCheckpoint struct {
 // lists every rejection; an error is returned only for directory-level
 // I/O failures.
 //
-// Both on-disk formats are checked: schema-1 files (per-function term
-// tables, textual DRAT) are loaded whole as before; schema-2 files
-// (global term ids into the shared TERMS.jsonl segment, binary DRAT)
-// are replayed streamingly — certificates decode value by value and the
-// trace in a single forward pass — so peak memory is bounded by the
-// shared table plus the largest single session, not the directory.
+// Verification streams: certificates decode value by value and each
+// trace replays in a single forward pass, so peak memory is bounded by
+// the term table plus the largest single session, not the directory.
+// Artifacts of any other format version — schema-1 headers, text DRAT
+// traces, uncompressed JSON — are rejected as unsupported.
 func CheckDir(dir string) (*CheckReport, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -84,8 +83,11 @@ func CheckDir(dir string) (*CheckReport, error) {
 	// Term segments: a per-function <base>.terms.jsonl wins over the
 	// run-wide TERMS.jsonl, so a directory materialized from
 	// self-contained store entries verifies exactly like a freshly
-	// emitted run (and the two layouts may coexist).
-	shared := loadTermSegmentFile(dir, TermsName, report)
+	// emitted run (and the two layouts may coexist). The shared segment
+	// is loaded on first use: a directory whose functions all carry
+	// their own segment never reads it.
+	var shared *termLoader
+	sharedLoaded := false
 	perFn := map[string]*termLoader{}
 	loaderFor := func(base string) *termLoader {
 		if l, ok := perFn[base]; ok {
@@ -93,6 +95,9 @@ func CheckDir(dir string) (*CheckReport, error) {
 		}
 		l := loadTermSegmentFile(dir, base+TermsSuffix, report)
 		if l == nil {
+			if !sharedLoaded {
+				shared, sharedLoaded = loadTermSegmentFile(dir, TermsName, report), true
+			}
 			l = shared
 		}
 		perFn[base] = l
@@ -177,35 +182,18 @@ func CheckDir(dir string) (*CheckReport, error) {
 			report.reject("%s: witness for %q has no certificate file", base+WitnessSuffix, wf.Function)
 			continue
 		}
-		var termAt func(int) (*term.Term, error)
-		switch wf.Schema {
-		case Schema:
-			ctx := term.NewContext()
-			terms, err := DecodeTerms(ctx, wf.Terms)
-			if err != nil {
-				report.reject("%s: witness terms: %v", wf.Function, err)
-				continue
-			}
-			termAt = func(i int) (*term.Term, error) {
-				if i < 0 || i >= len(terms) {
-					return nil, fmt.Errorf("pc index out of range")
-				}
-				return terms[i], nil
-			}
-		case SchemaStreaming:
-			loader := loaderFor(base)
-			if loader == nil {
-				report.reject("%s: schema-2 witness but no term segment (%s or %s)",
-					wf.Function, base+TermsSuffix, TermsName)
-				continue
-			}
-			termAt = loader.Term
-		default:
+		if wf.Schema != Schema {
 			report.reject("%s: witness has unsupported schema %d", wf.Function, wf.Schema)
 			continue
 		}
+		loader := loaderFor(base)
+		if loader == nil {
+			report.reject("%s: witness but no term segment (%s or %s)",
+				wf.Function, base+TermsSuffix, TermsName)
+			continue
+		}
 		before := len(report.Rejections)
-		verifyWitness(&wf, fc, termAt, report)
+		verifyWitness(&wf, fc, loader.Term, report)
 		if len(report.Rejections) == before {
 			report.Witnesses++
 			report.Certified = append(report.Certified, wf.Function)
@@ -242,7 +230,7 @@ func loadJSON(dir, name string, v interface{}, report *CheckReport) bool {
 		report.reject("%s: %v", name, err)
 		return false
 	}
-	zr, err := maybeInflate(bytes.NewReader(raw))
+	zr, err := inflate(bytes.NewReader(raw))
 	if err != nil {
 		report.reject("%s: %v", name, err)
 		return false
@@ -261,8 +249,8 @@ func loadJSON(dir, name string, v interface{}, report *CheckReport) bool {
 
 // loadTermSegmentFile reads one term-table segment (the shared
 // TERMS.jsonl or a per-function <base>.terms.jsonl), if present.
-// Absence is not an error: schema-1 directories have no segment, and
-// most functions have no per-function one.
+// Absence is not an error: most functions have no per-function segment,
+// and a directory of per-function segments has no shared one.
 func loadTermSegmentFile(dir, name string, report *CheckReport) *termLoader {
 	f, err := os.Open(filepath.Join(dir, name))
 	if err != nil {
@@ -272,7 +260,7 @@ func loadTermSegmentFile(dir, name string, report *CheckReport) *termLoader {
 		return nil
 	}
 	defer f.Close()
-	zr, err := maybeInflate(f)
+	zr, err := inflate(f)
 	if err != nil {
 		report.reject("%s: %v", name, err)
 		return nil
@@ -299,40 +287,6 @@ func loadTermSegmentFile(dir, name string, report *CheckReport) *termLoader {
 		return nil
 	}
 	return newTermLoader(nodes)
-}
-
-// checkFunctionCerts verifies one function's certificate file plus its
-// DRAT companion and returns the per-query status map (nil when the
-// file itself is unreadable). The first JSON value carries the schema;
-// it selects the buffered (v1) or streaming (v2) decoder.
-func checkFunctionCerts(dir, base string, loader *termLoader, report *CheckReport) *fnCerts {
-	f, err := os.Open(filepath.Join(dir, base+CertsSuffix))
-	if err != nil {
-		report.reject("%s: %v", base+CertsSuffix, err)
-		return nil
-	}
-	defer f.Close()
-	zr, err := maybeInflate(f)
-	if err != nil {
-		report.reject("%s: %v", base+CertsSuffix, err)
-		return nil
-	}
-	dec := json.NewDecoder(zr)
-	var head certsHeader
-	if err := dec.Decode(&head); err != nil {
-		report.reject("%s: bad JSON: %v", base+CertsSuffix, err)
-		return nil
-	}
-	report.Functions++
-	switch head.Schema {
-	case Schema:
-		return checkFunctionCertsV1(dir, base, report)
-	case SchemaStreaming:
-		return checkFunctionCertsV2(dir, base, head.Function, dec, loader, report)
-	default:
-		report.reject("%s: unsupported schema %d", base+CertsSuffix, head.Schema)
-		return nil
-	}
 }
 
 // verifyQueryKind performs the trace-independent verification of one
@@ -422,132 +376,45 @@ func verifyQueryKind(fc *fnCerts, cs *certStatus, termOf func(*certStatus) *term
 	return false
 }
 
-// checkFunctionCertsV1 verifies a schema-1 certificate file: the whole
-// document is loaded, terms decode from its embedded table, and the
-// textual DRAT trace is parsed per session.
-func checkFunctionCertsV1(dir, base string, report *CheckReport) *fnCerts {
-	var cf CertsFile
-	if !loadJSON(dir, base+CertsSuffix, &cf, report) {
-		return nil
-	}
-	fc := &fnCerts{name: cf.Function, byID: make(map[string]*certStatus, len(cf.Queries))}
-
-	ctx := term.NewContext()
-	terms, err := DecodeTerms(ctx, cf.Terms)
-	if err != nil {
-		report.reject("%s: %v", base+CertsSuffix, err)
-		return fc
-	}
-
-	var sessions [][]ParsedStep
-	if f, err := os.Open(filepath.Join(dir, base+DratSuffix)); err == nil {
-		sessions, err = ParseSessions(f)
-		f.Close()
-		if err != nil {
-			report.reject("%s: %v", base+DratSuffix, err)
-			return fc
-		}
-	} else if !os.IsNotExist(err) {
-		report.reject("%s: %v", base+DratSuffix, err)
-		return fc
-	}
-
-	// Group the DRAT obligations per session, ordered by trace position.
-	bySess := map[int][]dratCheckpoint{}
-
-	termOf := func(cs *certStatus) *term.Term {
-		if cs.Term < 0 || cs.Term >= len(terms) {
-			report.reject("%s/%s: term index %d out of range", fc.name, cs.ID, cs.Term)
-			return nil
-		}
-		return terms[cs.Term]
-	}
-
-	for i := range cf.Queries {
-		cs := &certStatus{QueryCert: cf.Queries[i]}
-		if _, dup := fc.byID[cs.ID]; dup {
-			report.reject("%s: duplicate query id %s", fc.name, cs.ID)
-			continue
-		}
-		fc.byID[cs.ID] = cs
-		if verifyQueryKind(fc, cs, termOf, report) {
-			if cs.Sess < 0 || cs.Sess >= len(sessions) {
-				report.reject("%s/%s: session %d not in trace", fc.name, cs.ID, cs.Sess)
-				continue
-			}
-			bySess[cs.Sess] = append(bySess[cs.Sess], dratCheckpoint{pos: cs.Pos, cs: cs})
-		}
-	}
-
-	// Replay each session once, verifying learnt clauses as they appear
-	// and each query's final clause at its recorded position.
-	for si, steps := range sessions {
-		cps := bySess[si]
-		sort.SliceStable(cps, func(i, j int) bool { return cps[i].pos < cps[j].pos })
-		ck := NewSessionChecker()
-		next := 0
-		fail := func(cs *certStatus, err error) {
-			report.reject("%s/%s: %v", fc.name, cs.ID, err)
-		}
-		for i := 0; i <= len(steps); i++ {
-			for next < len(cps) && cps[next].pos == i {
-				cp := cps[next]
-				next++
-				if err := ck.CheckFinal(int32Slice(cp.cs.Final)); err != nil {
-					fail(cp.cs, err)
-					continue
-				}
-				cp.cs.verified = true
-				report.Queries++
-				report.ByKind[KindDRAT]++
-			}
-			if i == len(steps) {
-				break
-			}
-			st := steps[i]
-			report.Steps++
-			var err error
-			switch st.Op {
-			case OpInput:
-				err = ck.AddInput(st.Lits)
-			case OpLearn:
-				err = ck.AddLearnt(st.Lits)
-			case OpDelete:
-				err = ck.Delete(st.Lits)
-			}
-			if err != nil {
-				report.reject("%s: session %d step %d: %v", fc.name, si, i, err)
-				// The trace is broken from here on; obligations at later
-				// positions cannot be trusted.
-				for ; next < len(cps); next++ {
-					report.reject("%s/%s: unverifiable, trace broken at step %d", fc.name, cps[next].cs.ID, i)
-				}
-				break
-			}
-		}
-		for ; next < len(cps); next++ {
-			report.reject("%s/%s: position %d beyond end of session %d (%d steps)",
-				fc.name, cps[next].cs.ID, cps[next].pos, si, len(steps))
-		}
-	}
-	return fc
-}
-
-// v2CertValue is one JSON value of a schema-2 certs stream after the
-// header: either a query certificate or the session-metadata trailer.
-type v2CertValue struct {
+// certValue is one JSON value of a certs stream after the header:
+// either a query certificate or the session-metadata trailer.
+type certValue struct {
 	QueryCert
 	Sessions []SessionInfo `json:"sessions"`
 }
 
-// checkFunctionCertsV2 verifies a schema-2 certificate stream: query
+// checkFunctionCerts verifies one function's certificate stream plus its
+// DRAT companion and returns the per-query status map (nil when the
+// file itself is unreadable or of an unsupported schema). Query
 // certificates decode one value at a time, terms resolve against the
-// shared segment, and the binary DRAT trace replays in one forward pass.
-func checkFunctionCertsV2(dir, base, fnName string, dec *json.Decoder, loader *termLoader, report *CheckReport) *fnCerts {
-	fc := &fnCerts{name: fnName, byID: make(map[string]*certStatus)}
+// term segment, and the binary DRAT trace replays in one forward pass.
+func checkFunctionCerts(dir, base string, loader *termLoader, report *CheckReport) *fnCerts {
+	f, err := os.Open(filepath.Join(dir, base+CertsSuffix))
+	if err != nil {
+		report.reject("%s: %v", base+CertsSuffix, err)
+		return nil
+	}
+	defer f.Close()
+	zr, err := inflate(f)
+	if err != nil {
+		report.reject("%s: %v", base+CertsSuffix, err)
+		return nil
+	}
+	dec := json.NewDecoder(zr)
+	var head certsHeader
+	if err := dec.Decode(&head); err != nil {
+		report.reject("%s: bad JSON: %v", base+CertsSuffix, err)
+		return nil
+	}
+	report.Functions++
+	if head.Schema != Schema {
+		report.reject("%s: unsupported schema %d", base+CertsSuffix, head.Schema)
+		return nil
+	}
+	fc := &fnCerts{name: head.Function, byID: make(map[string]*certStatus)}
 	termOf := func(cs *certStatus) *term.Term {
 		if loader == nil {
-			report.reject("%s/%s: schema-2 certificate but no %s segment", fc.name, cs.ID, TermsName)
+			report.reject("%s/%s: no term segment (%s or %s)", fc.name, cs.ID, base+TermsSuffix, TermsName)
 			return nil
 		}
 		t, err := loader.Term(cs.Term)
@@ -559,7 +426,7 @@ func checkFunctionCertsV2(dir, base, fnName string, dec *json.Decoder, loader *t
 	}
 	bySess := map[int][]dratCheckpoint{}
 	for {
-		var v v2CertValue
+		var v certValue
 		err := dec.Decode(&v)
 		if err == io.EOF {
 			break
@@ -585,15 +452,15 @@ func checkFunctionCertsV2(dir, base, fnName string, dec *json.Decoder, loader *t
 			bySess[cs.Sess] = append(bySess[cs.Sess], dratCheckpoint{pos: cs.Pos, cs: cs})
 		}
 	}
-	replayDratStreaming(dir, base, fc, bySess, report)
+	replayDrat(dir, base, fc, bySess, report)
 	return fc
 }
 
-// replayDratStreaming walks the (binary) trace once, maintaining one RUP
+// replayDrat walks the binary trace once, maintaining one RUP
 // checker per session — sessions interleave in a streaming trace — and
 // discharging each obligation when its session reaches the recorded
 // position.
-func replayDratStreaming(dir, base string, fc *fnCerts, bySess map[int][]dratCheckpoint, report *CheckReport) {
+func replayDrat(dir, base string, fc *fnCerts, bySess map[int][]dratCheckpoint, report *CheckReport) {
 	type sessState struct {
 		ck     *SessionChecker
 		cps    []dratCheckpoint
@@ -691,8 +558,7 @@ func int32Slice(v []int) []int32 {
 // witness: entry and exit points present, every non-exiting point
 // explored, every cut successor covered by a pair, and every pair's
 // obligations discharged by verified certificates. termAt resolves path
-// conditions — against the witness's own table (schema 1) or the shared
-// segment (schema 2).
+// conditions against the term segment.
 func verifyWitness(wf *WitnessFile, fc *fnCerts, termAt func(int) (*term.Term, error), report *CheckReport) {
 	name := wf.Function
 	if wf.Mode != "equivalence" && wf.Mode != "refinement" {

@@ -11,7 +11,6 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/json"
-	"fmt"
 	"io"
 	"os"
 	"os/exec"
@@ -21,10 +20,14 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/harness"
+	"repro/internal/isel"
+	"repro/internal/llvmir"
 	"repro/internal/proof"
 	"repro/internal/tv"
+	"repro/internal/vcgen"
 )
 
 var (
@@ -32,15 +35,9 @@ var (
 	e2eDir  string
 	e2eSum  *harness.Summary
 	e2eErr  error
-
-	legacyOnce sync.Once
-	legacyDir  string
-	legacySum  *harness.Summary
-	legacyErr  error
 )
 
-// e2eConfig is the shared corpus configuration of the cached runs, so the
-// streaming and legacy directories describe the same validation work.
+// e2eConfig is the corpus configuration of the cached proof run.
 func e2eConfig(dir string) harness.Config {
 	return harness.Config{
 		Profile:  corpus.GCCLike(8),
@@ -50,8 +47,8 @@ func e2eConfig(dir string) harness.Config {
 	}
 }
 
-// emitProofDir runs a small corpus once with (streaming, schema 2) proof
-// emission on and caches the directory for every test in this file.
+// emitProofDir runs a small corpus once with proof emission on and
+// caches the directory for every test in this file.
 func emitProofDir(t *testing.T) (string, *harness.Summary) {
 	t.Helper()
 	e2eOnce.Do(func() {
@@ -70,35 +67,10 @@ func emitProofDir(t *testing.T) (string, *harness.Summary) {
 	return e2eDir, e2eSum
 }
 
-// emitLegacyProofDir is emitProofDir with the schema-1 buffered writers
-// (the -proof-legacy ablation) over the identical corpus.
-func emitLegacyProofDir(t *testing.T) (string, *harness.Summary) {
-	t.Helper()
-	legacyOnce.Do(func() {
-		dir, err := os.MkdirTemp("", "proofdir-legacy")
-		if err != nil {
-			legacyErr = err
-			return
-		}
-		legacyDir = dir
-		cfg := e2eConfig(dir)
-		cfg.ProofLegacy = true
-		legacySum = harness.Run(cfg)
-		legacyErr = legacySum.ProofErr
-	})
-	if legacyErr != nil {
-		t.Fatal(legacyErr)
-	}
-	return legacyDir, legacySum
-}
-
 func TestMain(m *testing.M) {
 	code := m.Run()
 	if e2eDir != "" {
 		os.RemoveAll(e2eDir)
-	}
-	if legacyDir != "" {
-		os.RemoveAll(legacyDir)
 	}
 	os.Exit(code)
 }
@@ -183,12 +155,12 @@ func findFile(t *testing.T, dir, suffix string, accept func([]byte) bool) (strin
 	return "", nil
 }
 
-// inflate undoes the schema-2 compressed-JSON container ("BJSN" magic,
-// version byte, DEFLATE body); plain schema-1 bytes pass through and a
-// broken body comes back nil (predicates treat that as a non-match).
+// inflate undoes the compressed-JSON container ("BJSN" magic, version
+// byte, DEFLATE body); anything else, or a broken body, comes back nil
+// (predicates treat that as a non-match).
 func inflate(data []byte) []byte {
 	if len(data) < 5 || string(data[:4]) != "BJSN" {
-		return data
+		return nil
 	}
 	out, err := io.ReadAll(flate.NewReader(bytes.NewReader(data[5:])))
 	if err != nil {
@@ -223,7 +195,7 @@ type dratStep struct {
 	lits []int32
 }
 
-// decodeDrat decodes a .drat file (either format) into its step list,
+// decodeDrat decodes a binary .drat file into its step list,
 // returning nil on any decode error.
 func decodeDrat(data []byte) []dratStep {
 	var steps []dratStep
@@ -379,7 +351,77 @@ func TestUnknownContainerVersionRejected(t *testing.T) {
 	}
 }
 
-// certValues splits a schema-2 certs file (a stream of concatenated
+// TestRetiredFormatRejected starts from a copy of the emitted directory
+// and rewrites two functions into the retired schema-1 shapes: one
+// witness as its plain (uncontainered) JSON, and one certs header as
+// "schema":1. The checker must reject both functions as unsupported
+// rather than verify either.
+func TestRetiredFormatRejected(t *testing.T) {
+	src, _ := emitProofDir(t)
+	dir := copyProofDir(t, src)
+
+	wpath, wdata := findFile(t, dir, proof.WitnessSuffix, nil)
+	plain := inflate(wdata)
+	var w proof.WitnessFile
+	if err := json.Unmarshal(plain, &w); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(wpath, plain, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// A different function's certs, so each rejection names its own.
+	cpath, cdata := findFile(t, dir, proof.CertsSuffix, func(b []byte) bool {
+		vals := certValues(inflate(b))
+		return len(vals) > 0 && !bytes.Contains(vals[0], []byte(strconv.Quote(w.Function)))
+	})
+	vals := certValues(inflate(cdata))
+	var head map[string]interface{}
+	if err := json.Unmarshal(vals[0], &head); err != nil {
+		t.Fatal(err)
+	}
+	cfn, _ := head["function"].(string)
+	head["schema"] = 1
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	if err := enc.Encode(head); err != nil {
+		t.Fatal(err)
+	}
+	for _, raw := range vals[1:] {
+		if err := enc.Encode(raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(cpath, deflate(t, buf.Bytes()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	report, err := proof.CheckDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []struct{ file, fn string }{
+		{filepath.Base(wpath), w.Function},
+		{filepath.Base(cpath), cfn},
+	} {
+		found := false
+		for _, r := range report.Rejections {
+			if strings.HasPrefix(r, want.file+":") && strings.Contains(r, "unsupported") {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("%s (%s) was not rejected as unsupported; rejections: %v", want.file, want.fn, report.Rejections)
+		}
+		for _, fn := range report.Certified {
+			if fn == want.fn {
+				t.Errorf("%s still certified after its %s was rewritten to schema 1", fn, want.file)
+			}
+		}
+	}
+}
+
+// certValues splits a certs file (a stream of concatenated
 // JSON values) into its raw values, or nil when the stream is malformed.
 func certValues(data []byte) []json.RawMessage {
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -466,49 +508,6 @@ func TestTamperedModelRejected(t *testing.T) {
 	}
 }
 
-// TestLegacyStreamingParity pins the refactor's behavioral neutrality:
-// the schema-1 buffered writers and the schema-2 streaming writers must
-// produce identical validation classes over the identical corpus, both
-// directories must verify with zero rejections, and the streaming
-// artifacts must be substantially smaller.
-func TestLegacyStreamingParity(t *testing.T) {
-	sdir, ssum := emitProofDir(t)
-	ldir, lsum := emitLegacyProofDir(t)
-
-	if len(ssum.Rows) != len(lsum.Rows) {
-		t.Fatalf("row counts differ: streaming %d, legacy %d", len(ssum.Rows), len(lsum.Rows))
-	}
-	for i := range ssum.Rows {
-		if ssum.Rows[i].Class != lsum.Rows[i].Class {
-			t.Errorf("row %d (%s): streaming %s, legacy %s",
-				i, ssum.Rows[i].Fn, ssum.Rows[i].Class, lsum.Rows[i].Class)
-		}
-	}
-
-	sreport, err := proof.CheckDir(sdir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lreport, err := proof.CheckDir(ldir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, r := range map[string]*proof.CheckReport{"streaming": sreport, "legacy": lreport} {
-		if len(r.Rejections) != 0 {
-			t.Fatalf("%s: %d rejections, first: %s", name, len(r.Rejections), r.Rejections[0])
-		}
-	}
-	if sreport.Queries != lreport.Queries || sreport.Witnesses != lreport.Witnesses {
-		t.Errorf("verified work differs: streaming %d queries/%d witnesses, legacy %d/%d",
-			sreport.Queries, sreport.Witnesses, lreport.Queries, lreport.Witnesses)
-	}
-
-	sbytes, lbytes := ssum.SMTStats.ProofBytes, lsum.SMTStats.ProofBytes
-	if sbytes >= lbytes {
-		t.Errorf("streaming artifacts (%d B) not smaller than legacy (%d B)", sbytes, lbytes)
-	}
-}
-
 // proofDirSize sums the artifact files of a proof directory — everything
 // ProofBytes accounts for, i.e. all files except the manifest.
 func proofDirSize(t *testing.T, dir string) int64 {
@@ -532,99 +531,34 @@ func proofDirSize(t *testing.T, dir string) int64 {
 }
 
 // TestProofBytesMatchesDisk pins the ProofBytes fix: the stat must count
-// bytes actually written to disk, for both emission paths.
+// bytes actually written to disk.
 func TestProofBytesMatchesDisk(t *testing.T) {
-	sdir, ssum := emitProofDir(t)
-	if got, want := ssum.SMTStats.ProofBytes, proofDirSize(t, sdir); got != want {
-		t.Errorf("streaming ProofBytes = %d, on-disk artifacts = %d", got, want)
-	}
-	ldir, lsum := emitLegacyProofDir(t)
-	if got, want := lsum.SMTStats.ProofBytes, proofDirSize(t, ldir); got != want {
-		t.Errorf("legacy ProofBytes = %d, on-disk artifacts = %d", got, want)
+	dir, sum := emitProofDir(t)
+	if got, want := sum.SMTStats.ProofBytes, proofDirSize(t, dir); got != want {
+		t.Errorf("ProofBytes = %d, on-disk artifacts = %d", got, want)
 	}
 }
 
-// TestCrossFormatDratIdentical transcodes every binary DRAT trace of the
-// streaming run into the schema-1 text format in place; RUP verification
-// must accept the directory identically — same verified queries, same
-// step counts, zero rejections — pinning that the two containers encode
-// the same proof.
-func TestCrossFormatDratIdentical(t *testing.T) {
-	src, _ := emitProofDir(t)
-	before, err := proof.CheckDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := copyProofDir(t, src)
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	transcoded := 0
-	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), proof.DratSuffix) {
-			continue
-		}
-		path := filepath.Join(dir, e.Name())
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		cur := -1
-		werr := proof.WalkDrat(bytes.NewReader(data), func(sess int, op byte, lits []int32) error {
-			if sess != cur {
-				fmt.Fprintf(&buf, "s %d\n", sess)
-				cur = sess
-			}
-			fmt.Fprintf(&buf, "%c", op)
-			for _, l := range lits {
-				fmt.Fprintf(&buf, " %d", l)
-			}
-			buf.WriteString(" 0\n")
-			return nil
-		})
-		if werr != nil {
-			t.Fatal(werr)
-		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		transcoded++
-	}
-	if transcoded == 0 {
-		t.Fatal("no DRAT traces to transcode")
-	}
-	after, err := proof.CheckDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after.Rejections) != 0 {
-		t.Fatalf("transcoded text traces rejected: %s", after.Rejections[0])
-	}
-	if after.Queries != before.Queries || after.Steps != before.Steps ||
-		after.ByKind[proof.KindDRAT] != before.ByKind[proof.KindDRAT] {
-		t.Errorf("verification differs across formats: binary %d queries/%d steps/%d drat, text %d/%d/%d",
-			before.Queries, before.Steps, before.ByKind[proof.KindDRAT],
-			after.Queries, after.Steps, after.ByKind[proof.KindDRAT])
-	}
-}
-
-// TestScratchParity pins the arena refactor's behavioral neutrality:
-// validating the identical corpus with per-worker scratch reuse disabled
-// must produce the identical per-row classes.
+// TestScratchParity pins the arena's behavioral neutrality: the pool
+// run, whose workers reuse one scratch arena across functions, must
+// produce the same per-row classes as direct tv.Validate calls with no
+// scratch over the identical corpus.
 func TestScratchParity(t *testing.T) {
-	_, ssum := emitProofDir(t)
+	_, sum := emitProofDir(t)
 	cfg := e2eConfig("")
-	cfg.DisableScratch = true
-	nsum := harness.Run(cfg)
-	if len(nsum.Rows) != len(ssum.Rows) {
-		t.Fatalf("row counts differ: scratch %d, no-scratch %d", len(ssum.Rows), len(nsum.Rows))
+	fns := corpus.Generate(cfg.Profile)
+	if len(fns) != len(sum.Rows) {
+		t.Fatalf("row counts differ: pool %d, corpus %d", len(sum.Rows), len(fns))
 	}
-	for i := range ssum.Rows {
-		if ssum.Rows[i].Class != nsum.Rows[i].Class {
-			t.Errorf("row %d (%s): scratch %s, no-scratch %s",
-				i, ssum.Rows[i].Fn, ssum.Rows[i].Class, nsum.Rows[i].Class)
+	for i, f := range fns {
+		mod, err := llvmir.Parse(f.Src)
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name, err)
+		}
+		out := tv.Validate(mod, f.Name, isel.Options{}, vcgen.Options{}, core.Options{}, cfg.Budget)
+		if out.Class != sum.Rows[i].Class {
+			t.Errorf("row %d (%s): pool with scratch %s, direct without scratch %s",
+				i, f.Name, sum.Rows[i].Class, out.Class)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package proof
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -13,8 +12,7 @@ import (
 	"repro/internal/term"
 )
 
-// TermsName is the shared term-table segment of a schema-2 proof
-// directory.
+// TermsName is the shared term-table segment of a proof directory.
 const TermsName = "TERMS.jsonl"
 
 // countWriter counts bytes on their way to the underlying writer, so
@@ -31,13 +29,13 @@ func (c *countWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// DirWriter owns the run-wide artifacts of a schema-2 proof directory:
+// DirWriter owns the run-wide artifacts of a proof directory:
 // the shared term table with its TERMS.jsonl segment, and the recorders
 // of the individual functions. One DirWriter is created per run and
 // shared by all workers; NewRecorder is safe to call concurrently, and
-// each returned Recorder is confined to its worker like before.
+// each returned Recorder is confined to its worker.
 //
-// Schema-2 recorders stream: query certificates are appended to the
+// Recorders stream: query certificates are appended to the
 // certs file as they are recorded, trace steps go straight into the
 // binary-DRAT writer, and term rows into the shared segment — peak
 // memory is O(largest query), not O(function) or O(run).
@@ -55,7 +53,7 @@ type DirWriter struct {
 }
 
 // NewDirWriter creates dir if needed, truncates TERMS.jsonl, and
-// returns a writer for a schema-2 run.
+// returns a writer for a run.
 func NewDirWriter(dir string) (*DirWriter, error) {
 	return newDirWriter(dir, TermsName)
 }
@@ -95,7 +93,7 @@ func (dw *DirWriter) Dir() string { return dw.dir }
 // Table returns the shared term table.
 func (dw *DirWriter) Table() *TermTable { return dw.table }
 
-// NewRecorder returns a streaming (schema 2) recorder for one function.
+// NewRecorder returns a recorder for one function.
 func (dw *DirWriter) NewRecorder(function string) *Recorder {
 	return &Recorder{function: function, dw: dw, memo: make(map[*term.Term]int32)}
 }
@@ -130,19 +128,19 @@ func (dw *DirWriter) Close() error {
 	return dw.err
 }
 
-// certsHeader is the first JSON value of a schema-2 certs file.
+// certsHeader is the first JSON value of a certs file.
 type certsHeader struct {
 	Schema   int    `json:"schema"`
 	Function string `json:"function"`
 }
 
-// certsTrailer is the last JSON value of a schema-2 certs file: the
+// certsTrailer is the last JSON value of a certs file: the
 // per-session variable maps, known only once the function finishes.
 type certsTrailer struct {
 	Sessions []SessionInfo `json:"sessions"`
 }
 
-// streamState holds the open per-function files of a streaming recorder.
+// streamState holds the open per-function files of a recorder.
 type streamState struct {
 	cf  *os.File
 	cbw *bufio.Writer
@@ -180,7 +178,7 @@ func (r *Recorder) ensureCerts() *streamState {
 		st.enc = json.NewEncoder(st.czw)
 		st.err = st.czw.err
 		if st.err == nil {
-			st.err = st.enc.Encode(certsHeader{Schema: SchemaStreaming, Function: r.function})
+			st.err = st.enc.Encode(certsHeader{Schema: Schema, Function: r.function})
 		}
 	}
 	return st
@@ -221,17 +219,14 @@ func (r *Recorder) writeStep(sess int, op byte, lits []int32) {
 	st.err = st.bin.Step(sess, op, lits)
 }
 
-// Close finalizes a streaming recorder: it writes the session trailer,
+// Close finalizes a recorder: it writes the session trailer,
 // flushes and closes the certs and trace files, and — when certified —
 // writes the bisimulation witness. It returns the bytes this function's
 // artifacts occupy on disk and the first error encountered anywhere in
 // the stream (a certificate written after an I/O error must not be
 // trusted silently). Close is idempotent.
 func (r *Recorder) Close(certified bool) (int64, error) {
-	if r.dw == nil {
-		return 0, fmt.Errorf("proof: Close on a buffered (schema 1) recorder")
-	}
-	st := r.ensureCerts() // an empty function still gets a certs file, like schema 1
+	st := r.ensureCerts() // an empty function still gets a certs file
 	if st.closed {
 		return st.bytes, st.err
 	}
@@ -270,7 +265,7 @@ func (r *Recorder) Close(certified bool) (int64, error) {
 		st.bytes += st.dcw.n
 	}
 	if certified && st.err == nil {
-		n, err := WriteWitness(r.dw.dir, r)
+		n, err := writeWitness(r.dw.dir, r)
 		st.bytes += n
 		if err != nil {
 			st.err = err

@@ -2,22 +2,30 @@
 // translation-validation pipeline and implements the independent checker
 // that replays it.
 //
-// A validated function produces up to three artifacts in the proof
-// directory:
+// A proof directory holds one run-wide term segment plus up to three
+// artifacts per validated function:
 //
-//   - <fn>.certs.json — one record per SMT query the validator ran, in
-//     execution order: the verdict, the certificate kind, and for Sat
-//     verdicts the model plus the original term DAG it must satisfy.
-//   - <fn>.drat — the SAT session traces backing the Unsat verdicts:
-//     every input clause the bit-blaster emitted, every clause the CDCL
-//     solver learnt, and every clause database reduction deleted, in
-//     order. Unsat certificates point at a position in this trace and
-//     name a final clause that must follow by reverse unit propagation.
+//   - TERMS.jsonl — the shared term table: one serialized term-DAG node
+//     per line, in topological id order (see table.go). A self-contained
+//     per-function artifact set carries <fn>.terms.jsonl instead.
+//   - <fn>.certs.json — a stream of JSON values: a header, one record
+//     per SMT query the validator ran, in execution order (the verdict,
+//     the certificate kind, and for Sat verdicts the model plus the id
+//     of the term it must satisfy), and a trailer of session variable
+//     maps.
+//   - <fn>.drat — the binary SAT session traces backing the Unsat
+//     verdicts (see bdrat.go): every input clause the bit-blaster
+//     emitted, every clause the CDCL solver learnt, and every clause
+//     database reduction deleted, in order. Unsat certificates point at
+//     a position in this trace and name a final clause that must follow
+//     by reverse unit propagation.
 //   - <fn>.witness.json — the bisimulation witness: the synchronization
 //     points, and for each non-exiting point the cut successors explored
 //     by Algorithm 1 together with the pairing decisions and the query
 //     certificates that discharge each pair's obligations. Written only
 //     for functions whose validation succeeded.
+//
+// The JSON artifacts are wrapped in a DEFLATE container (see zjson.go).
 //
 // The checker (CheckDir, driven by cmd/proofcheck) verifies Unsat
 // verdicts by reverse unit propagation — no CDCL, no heuristics — and
@@ -70,17 +78,12 @@ import (
 	"repro/internal/term"
 )
 
-// Schema is the buffered (legacy) certificate format version: one JSON
-// document per function carrying its own term table, plus a textual
-// .drat companion.
-const Schema = 1
-
-// SchemaStreaming is the streaming certificate format version written by
-// DirWriter: the certs file is a stream of concatenated JSON values
-// (header, one value per query certificate, session trailer), term ids
-// reference the run-wide shared TERMS.jsonl segment, and the .drat
-// companion uses the binary container (see bdrat.go).
-const SchemaStreaming = 2
+// Schema is the certificate format version DirWriter writes and the
+// only one CheckDir accepts: the certs file is a stream of concatenated
+// JSON values (header, one value per query certificate, session
+// trailer), term ids reference the run-wide shared TERMS.jsonl segment,
+// and the .drat companion uses the binary container (see bdrat.go).
+const Schema = 2
 
 // Result strings used in certificates.
 const (
@@ -112,8 +115,8 @@ type QueryCert struct {
 	// Key is the alpha-invariant canonical hash of the queried term (hex).
 	// It is the content address "ref" certificates resolve against.
 	Key string `json:"key,omitempty"`
-	// Term indexes the terms table for kinds trivial/model/simplified
-	// (-1 otherwise).
+	// Term is the global term id for kinds trivial/model/simplified (-1
+	// otherwise).
 	Term int `json:"term"`
 	// Model is the satisfying assignment for kind "model".
 	Model *Model `json:"model,omitempty"`
@@ -174,15 +177,6 @@ type SessionInfo struct {
 	Vars  []VarMap `json:"vars,omitempty"`
 }
 
-// CertsFile is the on-disk <fn>.certs.json document.
-type CertsFile struct {
-	Schema   int           `json:"schema"`
-	Function string        `json:"function"`
-	Sessions []SessionInfo `json:"sessions,omitempty"`
-	Terms    []TNode       `json:"terms,omitempty"`
-	Queries  []QueryCert   `json:"queries"`
-}
-
 // PointInfo describes one synchronization point in a witness.
 type PointInfo struct {
 	ID           string `json:"id"`
@@ -197,7 +191,7 @@ type PointInfo struct {
 type SuccState struct {
 	Loc   string `json:"loc"`
 	Error string `json:"error,omitempty"`
-	// PC indexes the witness terms table: the successor's path condition.
+	// PC is the global term id of the successor's path condition.
 	PC int `json:"pc"`
 	// FeasQ names the Sat query certifying the path condition feasible;
 	// empty when the condition is the constant true (no query was run).
@@ -246,7 +240,6 @@ type WitnessFile struct {
 	Mode     string         `json:"mode"` // "equivalence" | "refinement"
 	Points   []PointInfo    `json:"points"`
 	Checked  []CheckedPoint `json:"checked"`
-	Terms    []TNode        `json:"terms,omitempty"`
 }
 
 // ManifestRow is one corpus row in the manifest.
@@ -256,8 +249,8 @@ type ManifestRow struct {
 	Certified bool   `json:"certified"`
 }
 
-// Manifest is the on-disk MANIFEST.json document of a corpus run. For
-// schema-2 runs, Terms names the shared term-table segment.
+// Manifest is the on-disk MANIFEST.json document of a corpus run. Terms
+// names the shared term-table segment.
 type Manifest struct {
 	Schema    int           `json:"schema"`
 	Terms     string        `json:"terms,omitempty"`
@@ -265,88 +258,56 @@ type Manifest struct {
 	Functions []ManifestRow `json:"functions"`
 }
 
-// Session accumulates one SAT instance's trace during recording. Steps
-// are stored in two append-only flat pools (opcode array plus literal
-// pool), mirroring sat.ProofLog, so long incremental sessions do not
-// allocate per step.
+// Session is one SAT instance's trace during recording. Steps stream
+// straight to the owning recorder's binary trace writer; the session
+// keeps only its step count and variable maps.
 type Session struct {
 	index int
-	rec   *Recorder // owner; streaming recorders write steps through
+	rec   *Recorder
 	count int
-	ops   []byte
-	offs  []int32
-	pool  []int32
 	vars  []VarMap
 }
 
-// Step opcodes (shared with the .drat text format).
+// Step opcodes of the binary trace.
 const (
 	OpInput  = byte('i')
 	OpLearn  = byte('l')
 	OpDelete = byte('d')
 )
 
-// AddStep appends one trace step with DIMACS-encoded literals. Under a
-// streaming recorder the step goes straight to the binary trace writer;
-// otherwise it is buffered in the flat pools.
+// AddStep appends one trace step with DIMACS-encoded literals.
 func (s *Session) AddStep(op byte, lits []int32) {
 	s.count++
-	if s.rec != nil && s.rec.dw != nil {
-		s.rec.writeStep(s.index, op, lits)
-		return
-	}
-	s.ops = append(s.ops, op)
-	s.offs = append(s.offs, int32(len(s.pool)))
-	s.pool = append(s.pool, lits...)
+	s.rec.writeStep(s.index, op, lits)
 }
 
 // Len returns the number of steps recorded.
 func (s *Session) Len() int { return s.count }
-
-// step returns opcode and literals of step i.
-func (s *Session) step(i int) (byte, []int32) {
-	end := int32(len(s.pool))
-	if i+1 < len(s.offs) {
-		end = s.offs[i+1]
-	}
-	return s.ops[i], s.pool[s.offs[i]:end]
-}
 
 // MapVar records the CNF variables backing a free term variable.
 func (s *Session) MapVar(name, sort string, bits []int) {
 	s.vars = append(s.vars, VarMap{Name: name, Sort: sort, Bits: bits})
 }
 
-// Recorder accumulates the certificates and the bisimulation witness of
-// one function under validation. It is used by a single goroutine (the
-// harness worker validating the function) and needs no locking of its
-// own; a streaming recorder shares only the run-wide term table, which
-// locks internally.
-//
-// Buffered mode (NewRecorder, schema 1) holds everything in memory until
-// WriteCerts/WriteWitness. Streaming mode (DirWriter.NewRecorder, schema
-// 2) writes certificates, trace steps, and term rows as they are
-// recorded and is finalized by Close.
+// Recorder streams the certificates and the bisimulation witness of
+// one function under validation into its DirWriter's directory:
+// certificates, trace steps, and term rows are written as they are
+// recorded, and Close finalizes the function. It is used by a single
+// goroutine (the harness worker validating the function) and needs no
+// locking of its own; it shares only the run-wide term table, which
+// locks internally. Create one with DirWriter.NewRecorder.
 type Recorder struct {
 	function string
-	table    *termEncoder // buffered mode
-	queries  []QueryCert  // buffered mode
 	nq       int
 	sessions []*Session
 
-	dw   *DirWriter // streaming mode
+	dw   *DirWriter
 	memo map[*term.Term]int32
 	st   *streamState
 
 	mode    string
 	points  []PointInfo
 	checked []CheckedPoint
-}
-
-// NewRecorder returns a buffered (schema 1) Recorder for the named
-// function.
-func NewRecorder(function string) *Recorder {
-	return &Recorder{function: function, table: newTermEncoder()}
 }
 
 // Function returns the function name the recorder was created for.
@@ -359,7 +320,7 @@ func (r *Recorder) NumQueries() int { return r.nq }
 
 // QueriesSince returns the IDs of certificates recorded at index w and
 // later. IDs are assigned densely ("q0", "q1", ...) so they are derived
-// from the indices; a streaming recorder retains no certificate bodies.
+// from the indices; the recorder retains no certificate bodies.
 func (r *Recorder) QueriesSince(w int) []string {
 	ids := make([]string, 0, r.nq-w)
 	for i := w; i < r.nq; i++ {
@@ -375,24 +336,16 @@ func (r *Recorder) NewSession() *Session {
 	return s
 }
 
-// EncodeTerm interns t and returns its node id: into the run-wide shared
-// table (global id) for a streaming recorder, into the per-function
-// table otherwise.
+// EncodeTerm interns t into the run-wide shared table and returns its
+// global id.
 func (r *Recorder) EncodeTerm(t *term.Term) int {
-	if r.dw != nil {
-		return r.dw.table.Intern(t, r.memo)
-	}
-	return r.table.Add(t)
+	return r.dw.table.Intern(t, r.memo)
 }
 
 func (r *Recorder) addQuery(q QueryCert) string {
 	q.ID = fmt.Sprintf("q%d", r.nq)
 	r.nq++
-	if r.dw != nil {
-		r.writeQuery(q)
-	} else {
-		r.queries = append(r.queries, q)
-	}
+	r.writeQuery(q)
 	return q.ID
 }
 
@@ -434,38 +387,16 @@ func (r *Recorder) SetPoints(points []PointInfo) { r.points = points }
 // AddChecked appends the exploration record of one non-exiting point.
 func (r *Recorder) AddChecked(cp CheckedPoint) { r.checked = append(r.checked, cp) }
 
-// CertsFile assembles the certificate document.
-func (r *Recorder) CertsFile() *CertsFile {
-	f := &CertsFile{
-		Schema:   Schema,
-		Function: r.function,
-		Terms:    r.table.Nodes(),
-		Queries:  r.queries,
-	}
-	for _, s := range r.sessions {
-		vars := append([]VarMap(nil), s.vars...)
-		sort.Slice(vars, func(i, j int) bool { return vars[i].Name < vars[j].Name })
-		f.Sessions = append(f.Sessions, SessionInfo{Index: s.index, Vars: vars})
-	}
-	return f
-}
-
-// WitnessFile assembles the witness document. A streaming recorder's
-// witness references global term ids and carries no table of its own.
+// WitnessFile assembles the witness document. It references global
+// term ids and carries no table of its own.
 func (r *Recorder) WitnessFile() *WitnessFile {
-	w := &WitnessFile{
+	return &WitnessFile{
 		Schema:   Schema,
 		Function: r.function,
 		Mode:     r.mode,
 		Points:   r.points,
 		Checked:  r.checked,
 	}
-	if r.dw != nil {
-		w.Schema = SchemaStreaming
-	} else {
-		w.Terms = r.table.Nodes()
-	}
-	return w
 }
 
 // ModelFromAssign converts an evaluator assignment into its

@@ -9,9 +9,8 @@ import (
 	"repro/internal/term"
 )
 
-// TermTable is the run-wide shared term table of a schema-2 proof
-// directory: one append-only, mutex-striped intern table serving every
-// worker of a run, replacing the per-function tables of schema 1.
+// TermTable is the run-wide shared term table of a proof directory: one
+// append-only, mutex-striped intern table serving every worker of a run.
 // Certificates reference nodes by global id and the directory carries a
 // single TERMS.jsonl segment, one TNode per line in id order.
 //

@@ -20,70 +20,11 @@ type TNode struct {
 	A  []int  `json:"a,omitempty"`
 }
 
-// termEncoder interns term DAGs into a per-function node list (schema 1
-// certificates carry their own table). Hash-consing in the source
-// Context makes structurally equal terms pointer-equal, so interning by
-// pointer both deduplicates shared subterms and gives syntactically
-// identical terms identical node indices — the witness checker verifies
-// "fastpath" pairs (syntactic path-condition equality) by comparing
-// indices. Schema-2 runs use the run-wide shared TermTable instead.
-type termEncoder struct {
-	nodes []TNode
-	index map[*term.Term]int
-}
-
-func newTermEncoder() *termEncoder {
-	return &termEncoder{index: make(map[*term.Term]int)}
-}
-
-// Nodes returns the serialized node list.
-func (tt *termEncoder) Nodes() []TNode { return tt.nodes }
-
-// Add interns t (and its subterms) and returns its node index. The DAG
-// is walked iteratively so deep terms cannot overflow the stack.
-func (tt *termEncoder) Add(t *term.Term) int {
-	if i, ok := tt.index[t]; ok {
-		return i
-	}
-	type frame struct {
-		t    *term.Term
-		next int
-	}
-	stack := []frame{{t: t}}
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if f.next < len(f.t.Args) {
-			arg := f.t.Args[f.next]
-			f.next++
-			if _, ok := tt.index[arg]; !ok {
-				stack = append(stack, frame{t: arg})
-			}
-			continue
-		}
-		if _, ok := tt.index[f.t]; !ok {
-			n := TNode{
-				K:  term.KindName(f.t.Kind),
-				W:  f.t.Width,
-				N:  f.t.Name,
-				Hi: f.t.Hi,
-				Lo: f.t.Lo,
-			}
-			if f.t.Val != 0 {
-				n.V = fmt.Sprintf("%d", f.t.Val)
-			}
-			for _, a := range f.t.Args {
-				n.A = append(n.A, tt.index[a])
-			}
-			tt.index[f.t] = len(tt.nodes)
-			tt.nodes = append(tt.nodes, n)
-		}
-		stack = stack[:len(stack)-1]
-	}
-	return tt.index[t]
-}
-
 // decodeNode rebuilds node i of a serialized table; resolved holds the
-// terms of all earlier nodes.
+// terms of all earlier nodes. It uses the raw (non-simplifying)
+// constructor, so the checker evaluates exactly the DAG that was
+// certified: re-simplifying during decode would let a constructor bug
+// mask itself.
 func decodeNode(ctx *term.Context, i int, n *TNode, resolved []*term.Term) (*term.Term, error) {
 	k, ok := term.KindByName(n.K)
 	if !ok {
@@ -105,24 +46,8 @@ func decodeNode(ctx *term.Context, i int, n *TNode, resolved []*term.Term) (*ter
 	return ctx.Raw(k, n.W, val, n.N, n.Hi, n.Lo, args...), nil
 }
 
-// DecodeTerms rebuilds a serialized node table into terms of ctx using
-// the raw (non-simplifying) constructor, so the checker evaluates
-// exactly the DAG that was certified: re-simplifying during decode would
-// let a constructor bug mask itself. Returns one term per node.
-func DecodeTerms(ctx *term.Context, nodes []TNode) ([]*term.Term, error) {
-	out := make([]*term.Term, len(nodes))
-	for i := range nodes {
-		t, err := decodeNode(ctx, i, &nodes[i], out)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = t
-	}
-	return out, nil
-}
-
-// termLoader lazily materializes the shared TERMS.jsonl segment of a
-// schema-2 directory into one term context. Nodes decode in a monotonic
+// termLoader lazily materializes a term segment of a proof directory
+// into one term context. Nodes decode in a monotonic
 // prefix (ids are topological), memoized across every function the
 // checker replays, so the segment is read and decoded once per CheckDir.
 type termLoader struct {

@@ -35,64 +35,10 @@ func FileBase(function string) string {
 	return string(b)
 }
 
-func writeJSON(path string, v interface{}) (int64, error) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return 0, err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return 0, err
-	}
-	return int64(len(data)), nil
-}
-
-// WriteCerts writes <fn>.certs.json and, when any session recorded
-// steps, <fn>.drat. It returns the number of bytes written. Buffered
-// (schema 1) recorders only; streaming recorders flush through Close.
-func WriteCerts(dir string, rec *Recorder) (int64, error) {
-	if rec.dw != nil {
-		return 0, fmt.Errorf("proof: WriteCerts on a streaming recorder (use Close)")
-	}
-	base := filepath.Join(dir, FileBase(rec.function))
-	n, err := writeJSON(base+CertsSuffix, rec.CertsFile())
-	if err != nil {
-		return n, err
-	}
-	steps := 0
-	for _, s := range rec.sessions {
-		steps += s.Len()
-	}
-	if steps > 0 {
-		f, err := os.Create(base + DratSuffix)
-		if err != nil {
-			return n, err
-		}
-		if err := WriteSessions(f, rec.sessions); err != nil {
-			f.Close()
-			return n, err
-		}
-		st, _ := f.Stat()
-		if st != nil {
-			n += st.Size()
-		}
-		if err := f.Close(); err != nil {
-			return n, err
-		}
-	}
-	return n, nil
-}
-
-// WriteWitness writes <fn>.witness.json. Call it only for functions
-// whose validation succeeded: the witness of a failed run is not a
-// bisimulation witness. Streaming (schema 2) recorders write the
-// compressed container; buffered recorders keep the plain schema-1
-// bytes. The checker sniffs, so both verify.
-func WriteWitness(dir string, rec *Recorder) (int64, error) {
-	base := filepath.Join(dir, FileBase(rec.function))
-	if rec.dw == nil {
-		return writeJSON(base+WitnessSuffix, rec.WitnessFile())
-	}
+// writeWitness writes the compressed <fn>.witness.json. Call it only
+// for functions whose validation succeeded: the witness of a failed run
+// is not a bisimulation witness.
+func writeWitness(dir string, rec *Recorder) (int64, error) {
 	data, err := json.Marshal(rec.WitnessFile())
 	if err != nil {
 		return 0, err
@@ -101,21 +47,21 @@ func WriteWitness(dir string, rec *Recorder) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := os.WriteFile(base+WitnessSuffix, zdata, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, FileBase(rec.function))+WitnessSuffix, zdata, 0o644); err != nil {
 		return 0, err
 	}
 	return int64(len(zdata)), nil
 }
 
-// WriteManifest writes MANIFEST.json for a corpus run. The caller sets
-// m.Schema for streaming runs; an unset schema defaults to the buffered
-// format version.
+// WriteManifest stamps m with the format version and writes it as
+// MANIFEST.json for a corpus run.
 func WriteManifest(dir string, m *Manifest) error {
-	if m.Schema == 0 {
-		m.Schema = Schema
+	m.Schema = Schema
+	data, err := json.Marshal(m)
+	if err != nil {
+		return err
 	}
-	_, err := writeJSON(filepath.Join(dir, ManifestName), m)
-	return err
+	return os.WriteFile(filepath.Join(dir, ManifestName), append(data, '\n'), 0o644)
 }
 
 // ReadManifest loads MANIFEST.json from dir; it returns (nil, nil) when

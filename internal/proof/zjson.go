@@ -8,14 +8,12 @@ import (
 	"io"
 )
 
-// Schema-2 JSON artifacts (certs streams, the TERMS.jsonl segment,
-// witnesses) are written through a small compressed container: the
-// 4-byte magic "BJSN", one version byte, then a single DEFLATE stream
-// holding the exact bytes the schema-1 format would have written.
-// Readers sniff the magic, so plain schema-1 artifacts keep decoding
-// through the same code paths. Models and term rows are where the
-// redundancy lives — the container takes the certificate side of a
-// proof directory down roughly 10x.
+// The JSON artifacts (certs streams, term segments, witnesses) are
+// written through a small compressed container: the 4-byte magic
+// "BJSN", one version byte, then a single DEFLATE stream holding the
+// JSON text. Models and term rows are where the redundancy lives — the
+// container takes the certificate side of a proof directory down
+// roughly 10x.
 const (
 	zjsonMagic   = "BJSN"
 	zjsonVersion = 1
@@ -68,21 +66,20 @@ func (z *zWriter) Close() error {
 	return z.err
 }
 
-// maybeInflate sniffs r: the container magic selects DEFLATE decoding,
-// anything else passes through unchanged (plain schema-1 JSON). An
-// unknown container version is an error, not a passthrough — decoding
-// a future format as JSON would produce a misleading rejection.
-func maybeInflate(r io.Reader) (io.Reader, error) {
+// inflate checks the container header of r and returns a reader of the
+// JSON text inside. Plain JSON (the retired schema-1 artifacts) and
+// unknown container versions are rejected, never guessed at.
+func inflate(r io.Reader) (io.Reader, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	head, _ := br.Peek(len(zjsonMagic) + 1)
-	if len(head) >= len(zjsonMagic) && string(head[:len(zjsonMagic)]) == zjsonMagic {
-		if len(head) < len(zjsonMagic)+1 || head[len(zjsonMagic)] != zjsonVersion {
-			return nil, fmt.Errorf("proof: unsupported compressed-JSON container version")
-		}
-		br.Discard(len(zjsonMagic) + 1)
-		return flate.NewReader(br), nil
+	if len(head) < len(zjsonMagic)+1 || string(head[:len(zjsonMagic)]) != zjsonMagic {
+		return nil, fmt.Errorf("proof: unsupported artifact: not a compressed-JSON container (plain-JSON schema-1 artifacts are no longer accepted)")
 	}
-	return br, nil
+	if head[len(zjsonMagic)] != zjsonVersion {
+		return nil, fmt.Errorf("proof: unsupported compressed-JSON container version %d", head[len(zjsonMagic)])
+	}
+	br.Discard(len(zjsonMagic) + 1)
+	return flate.NewReader(br), nil
 }
 
 // deflateJSON wraps one whole marshalled document in the container

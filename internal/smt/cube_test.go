@@ -115,7 +115,7 @@ func TestCubeCertsVerify(t *testing.T) {
 	for _, incremental := range []bool{false, true} {
 		t.Run(fmt.Sprintf("incremental=%v", incremental), func(t *testing.T) {
 			ctx := NewContext()
-			rec := proof.NewRecorder(fmt.Sprintf("cube-inc-%v", incremental))
+			rec, finish := newTestRecorder(t, fmt.Sprintf("cube-inc-%v", incremental))
 			s := NewSolver(ctx)
 			s.Recorder = rec
 			s.Portfolio = drainedPortfolio()
@@ -150,11 +150,7 @@ func TestCubeCertsVerify(t *testing.T) {
 				s.Stats.CubeEscalations, s.Stats.CubesGenerated,
 				s.Stats.CubesRefuted, s.Stats.CubesSat)
 
-			dir := t.TempDir()
-			if _, err := proof.WriteCerts(dir, rec); err != nil {
-				t.Fatal(err)
-			}
-			report, err := proof.CheckDir(dir)
+			report, err := proof.CheckDir(finish())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +170,8 @@ func TestCubeCertsVerify(t *testing.T) {
 // interleaving, and its composed certificate must replay.
 func TestSolveCubedWorkStealing(t *testing.T) {
 	ctx := NewContext()
-	rec := proof.NewRecorder("cube-steal")
+	rec, finish := newTestRecorder(t, "cube-steal")
+	defer finish()
 	s := NewSolver(ctx)
 	s.Recorder = rec
 	pf := NewPortfolio(3)

@@ -89,6 +89,29 @@ func TestPortfolioMatchesPlain(t *testing.T) {
 	}
 }
 
+// newTestRecorder returns a recorder streaming into a fresh
+// self-contained proof directory, and a finisher that closes the
+// recorder and its writer and returns the directory for CheckDir.
+func newTestRecorder(t *testing.T, name string) (*proof.Recorder, func() string) {
+	t.Helper()
+	dir := t.TempDir()
+	dw, err := proof.NewFunctionDirWriter(dir, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := dw.NewRecorder(name)
+	return rec, func() string {
+		t.Helper()
+		if _, err := rec.Close(false); err != nil {
+			t.Fatal(err)
+		}
+		if err := dw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+}
+
 // TestPortfolioCertsVerify: with a Recorder attached, every certificate a
 // portfolio run emits — including traces recorded from a winning racer's
 // self-contained refutation — must verify from scratch with CheckDir.
@@ -96,7 +119,7 @@ func TestPortfolioCertsVerify(t *testing.T) {
 	for _, incremental := range []bool{false, true} {
 		t.Run(fmt.Sprintf("incremental=%v", incremental), func(t *testing.T) {
 			ctx := NewContext()
-			rec := proof.NewRecorder(fmt.Sprintf("portfolio-inc-%v", incremental))
+			rec, finish := newTestRecorder(t, fmt.Sprintf("portfolio-inc-%v", incremental))
 			pf := NewPortfolio(3)
 			pf.After = 1
 			s := NewSolver(ctx)
@@ -128,11 +151,7 @@ func TestPortfolioCertsVerify(t *testing.T) {
 			}
 			t.Logf("races=%d racer wins=%d", s.Stats.Races, s.Stats.RaceRacerWins)
 
-			dir := t.TempDir()
-			if _, err := proof.WriteCerts(dir, rec); err != nil {
-				t.Fatal(err)
-			}
-			report, err := proof.CheckDir(dir)
+			report, err := proof.CheckDir(finish())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -23,11 +23,11 @@ func litDimacs(l sat.Lit) int {
 
 // flushProof converts the proof-log steps at index from and later into
 // session steps, returning the new watermark. Literal buffers are reused
-// across steps; Session.AddStep copies into its flat pools (or streams
-// straight to disk under a streaming recorder). The flushed prefix is
-// trimmed from the log so a long incremental session holds only its
-// unflushed tail in memory. ProofBytes is NOT estimated here: it counts
-// bytes actually written to disk, accounted by the artifact writers.
+// across steps; Session.AddStep streams each step straight to disk. The
+// flushed prefix is trimmed from the log so a long incremental session
+// holds only its unflushed tail in memory. ProofBytes is NOT estimated
+// here: it counts bytes actually written to disk, accounted by the
+// artifact writers.
 func (s *Solver) flushProof(log *sat.ProofLog, from int, sess *proof.Session) int {
 	var dim []int32
 	for i := from; i < log.Len(); i++ {

@@ -117,7 +117,6 @@ func VerifyEntry(e *Entry) error {
 		return err
 	}
 	if err := proof.WriteManifest(dir, &proof.Manifest{
-		Schema: proof.SchemaStreaming,
 		Functions: []proof.ManifestRow{{
 			Name: e.Meta.Function, Class: e.Meta.Class, Certified: e.Meta.Certified,
 		}},

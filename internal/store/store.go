@@ -3,7 +3,7 @@
 // alpha-invariant SHA-256 hashes the VC cache uses (term.CanonKey, which
 // smt.CanonKey aliases). Each entry carries a verdict *with* the
 // certificate artifacts that make it independently re-checkable — the
-// schema-2 certs stream, the binary DRAT trace, the bisimulation witness,
+// certs stream, the binary DRAT trace, the bisimulation witness,
 // and a per-function term segment — so a cross-run hit is something
 // cmd/proofcheck can verify, never something the daemon merely believes.
 //

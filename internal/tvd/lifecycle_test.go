@@ -287,9 +287,10 @@ func TestProofDirFailure(t *testing.T) {
 
 // TestDrainAdmissionRace hammers the Close/admission ordering: every
 // request either completes normally or is refused with 503 — never
-// admitted into a pool that Close already joined. handleValidate
-// registers with the in-flight group before reading the drain flag,
-// which is what makes Close's wait cover late-arriving batches.
+// admitted into a pool that Close already joined. handleValidate checks
+// the drain flag and registers with the in-flight group under one lock
+// that BeginDrain also takes, which is what makes Close's wait cover
+// late-arriving batches (and keeps the race detector quiet).
 func TestDrainAdmissionRace(t *testing.T) {
 	s, hs := newTestServer(t, ServerConfig{Workers: 2, WorkDir: t.TempDir()})
 	req := testBatch(testCorpus(1))

@@ -13,7 +13,7 @@ import (
 // produces a directory cmd/proofcheck verifies from scratch — the
 // certified-by-reference path.
 func MaterializeProofs(dir string, result *BatchResult) error {
-	manifest := proof.Manifest{Schema: proof.SchemaStreaming}
+	var manifest proof.Manifest
 	for _, row := range result.Rows {
 		arts := make([]store.Artifact, 0, len(row.Artifacts))
 		for _, a := range row.Artifacts {

@@ -92,8 +92,14 @@ type Server struct {
 	tenants  map[string]int
 
 	// active counts in-flight HTTP batch requests so Close can wait for
-	// them after the listener stops accepting.
-	active sync.WaitGroup
+	// them after the listener stops accepting. admitMu orders each
+	// admission (drain check + active.Add, under the read lock) against
+	// BeginDrain (flag flip, under the write lock): every Add either
+	// happens before the flip, and so before Close's Wait, or sees the
+	// flag and refuses. A WaitGroup must not be Added from zero
+	// concurrently with Wait.
+	admitMu sync.RWMutex
+	active  sync.WaitGroup
 }
 
 // NewServer opens the store (if configured), starts the pool, and
@@ -185,7 +191,11 @@ func (s *Server) MaxBatch() int {
 // BeginDrain flips the daemon into draining mode: /healthz turns 503
 // (load balancers stop routing here) and new batches are refused with
 // 503. Already-admitted batches keep running.
-func (s *Server) BeginDrain() { s.draining.Store(true) }
+func (s *Server) BeginDrain() {
+	s.admitMu.Lock()
+	s.draining.Store(true)
+	s.admitMu.Unlock()
+}
 
 // Close drains gracefully: no new batches, every admitted job finishes
 // (and lands in the store), the store-lifecycle goroutines (periodic GC
@@ -329,18 +339,18 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, 0, "POST only")
 		return
 	}
-	// Register with the in-flight group BEFORE checking the drain flag:
-	// Close sets the flag and then waits on the group, so a batch that
-	// registered first is waited for, and a batch that registered after
-	// the flag flipped sees it here and refuses. Checking before Add
-	// left a window where Close's active.Wait() could return while a
-	// batch between the check and the Add proceeded into a closed pool.
-	s.active.Add(1)
-	defer s.active.Done()
+	// Check the drain flag and register with the in-flight group as one
+	// step under admitMu (see Server.admitMu): a batch admitted here is
+	// waited for by Close, and one arriving after BeginDrain refuses.
+	s.admitMu.RLock()
 	if s.draining.Load() {
+		s.admitMu.RUnlock()
 		httpError(w, http.StatusServiceUnavailable, 0, "draining")
 		return
 	}
+	s.active.Add(1)
+	s.admitMu.RUnlock()
+	defer s.active.Done()
 
 	var req BatchRequest
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
