@@ -1,10 +1,11 @@
 # Tier-1 verification: build + full test suite, static analysis, gofmt
 # cleanliness, the race detector over the concurrent packages (the
-# harness worker pool and the tv pipeline it drives), and the nested
-# benchmark module, which the root `go build ./...` does not reach.
-.PHONY: tier1 build test vet fmtcheck race perfbench bench benchall
+# harness worker pool and the tv pipeline it drives), the nested
+# benchmark module, which the root `go build ./...` does not reach, and
+# one run of every per-layer microbenchmark.
+.PHONY: tier1 build test vet fmtcheck race perfbench microbench bench benchall
 
-tier1: build test vet fmtcheck race perfbench
+tier1: build test vet fmtcheck race perfbench microbench
 
 build:
 	go build ./...
@@ -30,6 +31,12 @@ race:
 # its own go.mod), so an API change that breaks it fails tier 1.
 perfbench:
 	go -C perfbench vet ./... && go -C perfbench test ./...
+
+# microbench runs each per-layer microbenchmark (SAT search, incremental
+# SMT) once, so a change that breaks one fails tier 1. For numbers, raise
+# -benchtime and compare allocs/op and ns/op across commits.
+microbench:
+	go test -run '^$$' -bench . -benchtime 1x ./internal/sat ./internal/smt
 
 # bench reproduces the Figure 6 comparisons — cache on/off, proof
 # emission on/off, tracing on/off, inprocessing/portfolio ablations,

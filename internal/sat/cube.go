@@ -103,15 +103,16 @@ func BuildCubes(nvars int, clauses [][]Lit, units []Lit, opt CubeOptions) *CubeS
 	// assignment constrains the most — rise to the top without a probe.
 	occ := make([]float64, nvars)
 	for _, c := range sc.clauses {
-		if c.deleted {
+		if sc.ca.deleted(c) {
 			continue
 		}
-		w := len(c.lits)
+		lits := sc.ca.lits(c)
+		w := len(lits)
 		if w > 24 {
 			w = 24
 		}
 		weight := 1.0 / float64(uint64(1)<<uint(w))
-		for _, l := range c.lits {
+		for _, l := range lits {
 			occ[l.Var()] += weight
 		}
 	}
@@ -162,13 +163,13 @@ func BuildCubes(nvars int, clauses [][]Lit, units []Lit, opt CubeOptions) *CubeS
 			lit := MkLit(c.v, pol == 1)
 			sc.trailLim = append(sc.trailLim, int32(len(sc.trail)))
 			before := len(sc.trail)
-			sc.uncheckedEnqueue(lit, nil)
+			sc.uncheckedEnqueue(lit, crefUndef)
 			confl := sc.propagate()
 			growth[pol] = len(sc.trail) - before
 			sc.cancelUntil(0)
-			if confl != nil {
-				sc.uncheckedEnqueue(lit.Not(), nil)
-				if sc.propagate() != nil {
+			if confl != crefUndef {
+				sc.uncheckedEnqueue(lit.Not(), crefUndef)
+				if sc.propagate() != crefUndef {
 					return nil // both polarities fail: refuted by lookahead
 				}
 				failed = true
@@ -217,8 +218,8 @@ func BuildCubes(nvars int, clauses [][]Lit, units []Lit, opt CubeOptions) *CubeS
 			default:
 				lv := sc.decisionLevel()
 				sc.trailLim = append(sc.trailLim, int32(len(sc.trail)))
-				sc.uncheckedEnqueue(lit, nil)
-				if sc.propagate() != nil {
+				sc.uncheckedEnqueue(lit, crefUndef)
+				if sc.propagate() != crefUndef {
 					cs.Cubes = append(cs.Cubes, append([]Lit(nil), prefix...))
 				} else {
 					dfs(depth + 1)

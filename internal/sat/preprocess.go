@@ -77,7 +77,7 @@ func (s *Solver) shuffle() {
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
-		s.activity[v] += float64(x&0xffff) / (1 << 26)
+		s.order.act[v] += float64(x&0xffff) / (1 << 26)
 		if x&0x10000 != 0 {
 			s.polarity[v] = !s.polarity[v]
 		}
@@ -87,12 +87,12 @@ func (s *Solver) shuffle() {
 
 // removeClause marks c deleted — watchers drop lazily in propagate — and
 // logs the deletion when the stored literals match a logged step (see
-// clause.logged). The object stays in its list so Snapshot still exports
-// the original formula.
-func (s *Solver) removeClause(c *clause) {
-	c.deleted = true
-	if c.logged {
-		s.logDelete(c.lits)
+// hdrLogged). Its entry stays in s.clauses, so the problem-clause count
+// and the inprocessing schedule that reads it do not move.
+func (s *Solver) removeClause(c cref) {
+	s.ca.free(c)
+	if s.ca.logged(c) {
+		s.logDelete(s.ca.lits(c))
 	}
 }
 
@@ -102,33 +102,36 @@ func (s *Solver) removeClause(c *clause) {
 // Root-falsified literals are dropped first (the shrunken clause is RUP
 // whenever the full one is, since the checker holds the same root units);
 // a root-satisfied derivation is skipped entirely. Returns the installed
-// clause, or nil when the result was satisfied, unit, or empty; a unit is
-// enqueued and propagated, and a conflict makes the solver unsatisfiable.
-// Must be called at decision level 0.
-func (s *Solver) addDerived(lits []Lit) *clause {
-	out := make([]Lit, 0, len(lits))
+// clause, or crefUndef when the result was satisfied, unit, or empty; a
+// unit is enqueued and propagated, and a conflict makes the solver
+// unsatisfiable. Installing the clause may move the arena, so callers
+// must re-slice any clause literals they hold across the call. Must be
+// called at decision level 0.
+func (s *Solver) addDerived(lits []Lit) cref {
+	out := s.addT[:0]
 	for _, l := range lits {
 		switch s.valueLit(l) {
 		case lTrue:
-			return nil
+			return crefUndef
 		case lFalse:
 			continue
 		}
 		out = append(out, l)
 	}
+	s.addT = out[:0]
 	s.logLearnt(out)
 	switch len(out) {
 	case 0:
 		s.ok = false
-		return nil
+		return crefUndef
 	case 1:
-		s.uncheckedEnqueue(out[0], nil)
-		if s.propagate() != nil {
+		s.uncheckedEnqueue(out[0], crefUndef)
+		if s.propagate() != crefUndef {
 			s.ok = false
 		}
-		return nil
+		return crefUndef
 	}
-	c := &clause{lits: out, logged: true}
+	c := s.ca.alloc(out, false, true)
 	s.clauses = append(s.clauses, c)
 	s.attach(c)
 	return c
@@ -237,11 +240,11 @@ func (s *Solver) subsumePass() {
 scan:
 	for i := 0; i < n; i++ {
 		c := s.clauses[i]
-		if c.deleted {
+		if s.ca.deleted(c) {
 			continue
 		}
 		var g uint64
-		for _, l := range c.lits {
+		for _, l := range s.ca.lits(c) {
 			if s.valueLit(l) == lTrue {
 				// Satisfied at root: permanently redundant (root
 				// assignments never backtrack), so drop it now.
@@ -259,21 +262,26 @@ scan:
 			return
 		}
 		c := s.clauses[i]
-		if c.deleted || len(c.lits) > subsumeMaxLen {
+		if s.ca.deleted(c) || s.ca.size(c) > subsumeMaxLen {
 			continue
 		}
-		best := c.lits[0].Var()
-		for _, l := range c.lits[1:] {
+		cl := s.ca.lits(c)
+		best := cl[0].Var()
+		for _, l := range cl[1:] {
 			if len(occ[l.Var()]) < len(occ[best]) {
 				best = l.Var()
 			}
 		}
 		for _, dj := range occ[best] {
 			d := s.clauses[dj]
-			if int(dj) == i || d.deleted || len(d.lits) < len(c.lits) || sig[i]&^sig[dj] != 0 {
+			if int(dj) == i || s.ca.deleted(d) || s.ca.size(d) < len(cl) || sig[i]&^sig[dj] != 0 {
 				continue
 			}
-			pivot, rel := subsumes(c.lits, d.lits)
+			// Re-slice both clauses: a strengthening below may have
+			// moved the arena.
+			cl = s.ca.lits(c)
+			dl := s.ca.lits(d)
+			pivot, rel := subsumes(cl, dl)
 			switch rel {
 			case subSubsumes:
 				s.removeClause(d)
@@ -283,12 +291,13 @@ scan:
 				// the pivot is d without the negated pivot — a resolvent
 				// of two live clauses, hence RUP. Add it before deleting
 				// d so the checker verifies it against the right live set.
-				lits := make([]Lit, 0, len(d.lits)-1)
-				for _, l := range d.lits {
+				lits := s.probeT[:0]
+				for _, l := range dl {
 					if l != pivot.Not() {
 						lits = append(lits, l)
 					}
 				}
+				s.probeT = lits
 				s.addDerived(lits)
 				s.removeClause(d)
 				s.Strengthened++
@@ -309,7 +318,7 @@ func (s *Solver) vivifyPass() {
 			break
 		}
 		c := s.clauses[i]
-		if c.deleted || len(c.lits) > vivifyMaxLen {
+		if s.ca.deleted(c) || s.ca.size(c) > vivifyMaxLen {
 			continue
 		}
 		s.vivifyClause(c)
@@ -324,12 +333,13 @@ func (s *Solver) vivifyPass() {
 // its negation replays the probe's propagations against the live set —
 // which still includes c itself — to the same contradiction. The clause
 // is replaced, never mutated, so the trace sees a checkable add+delete.
-func (s *Solver) vivifyClause(c *clause) {
+func (s *Solver) vivifyClause(c cref) {
 	// Probe over a copy: c stays attached, and propagate reorders the
 	// literals of clauses it visits (watched-literal swaps) — iterating
-	// c.lits directly would skip or repeat literals mid-probe.
-	lits := append([]Lit(nil), c.lits...)
-	kept := make([]Lit, 0, len(lits))
+	// c's literals in place would skip or repeat literals mid-probe.
+	lits := append(s.probeT[:0], s.ca.lits(c)...)
+	s.probeT = lits
+	kept := s.keptT[:0]
 	shrunk := false
 probe:
 	for idx, l := range lits {
@@ -354,9 +364,9 @@ probe:
 			shrunk = true
 		default:
 			s.trailLim = append(s.trailLim, int32(len(s.trail)))
-			s.uncheckedEnqueue(l.Not(), nil)
+			s.uncheckedEnqueue(l.Not(), crefUndef)
 			kept = append(kept, l)
-			if s.propagate() != nil {
+			if s.propagate() != crefUndef {
 				if idx < len(lits)-1 {
 					shrunk = true
 				}
@@ -365,6 +375,7 @@ probe:
 		}
 	}
 	s.cancelUntil(0)
+	s.keptT = kept[:0]
 	if !shrunk {
 		return
 	}
@@ -385,27 +396,27 @@ func (s *Solver) elimPass() {
 	for len(s.eliminated) < nv {
 		s.eliminated = append(s.eliminated, false)
 	}
-	occ := make([][]*clause, 2*nv)
+	occ := make([][]cref, 2*nv)
 	for _, c := range s.clauses {
-		if c.deleted {
+		if s.ca.deleted(c) {
 			continue
 		}
-		for _, l := range c.lits {
+		for _, l := range s.ca.lits(c) {
 			occ[l] = append(occ[l], c)
 		}
 	}
-	gather := func(ws []*clause) []*clause {
-		out := make([]*clause, 0, len(ws))
+	gather := func(ws []cref) []cref {
+		out := make([]cref, 0, len(ws))
 		for _, c := range ws {
-			if !c.deleted {
+			if !s.ca.deleted(c) {
 				out = append(out, c)
 			}
 		}
 		return out
 	}
-	short := func(cs []*clause) bool {
+	short := func(cs []cref) bool {
 		for _, c := range cs {
-			if len(c.lits) > elimMaxLen {
+			if s.ca.size(c) > elimMaxLen {
 				return false
 			}
 		}
@@ -437,7 +448,7 @@ func (s *Solver) elimPass() {
 		if len(pos) > elimMaxOcc || len(neg) > elimMaxOcc || !short(pos) || !short(neg) {
 			continue
 		}
-		res, ok := resolveAll(pos, neg, v, len(pos)+len(neg))
+		res, ok := s.resolveAll(pos, neg, v, len(pos)+len(neg))
 		if !ok {
 			continue
 		}
@@ -449,21 +460,21 @@ func (s *Solver) elimPass() {
 // parents saved for reconstruction. New resolvents join the occurrence
 // index so later eliminations see them — missing one would silently drop
 // a constraint and break soundness.
-func (s *Solver) eliminateVar(v int, pos, neg []*clause, res [][]Lit, occ [][]*clause) {
+func (s *Solver) eliminateVar(v int, pos, neg []cref, res [][]Lit, occ [][]cref) {
 	saved := make([][]Lit, 0, len(pos)+len(neg))
 	for _, c := range pos {
-		saved = append(saved, append([]Lit(nil), c.lits...))
+		saved = append(saved, append([]Lit(nil), s.ca.lits(c)...))
 	}
 	for _, c := range neg {
-		saved = append(saved, append([]Lit(nil), c.lits...))
+		saved = append(saved, append([]Lit(nil), s.ca.lits(c)...))
 	}
 	for _, r := range res {
 		c := s.addDerived(r)
 		if !s.ok {
 			return
 		}
-		if c != nil {
-			for _, l := range c.lits {
+		if c != crefUndef {
+			for _, l := range s.ca.lits(c) {
 				occ[l] = append(occ[l], c)
 			}
 		}
@@ -481,11 +492,11 @@ func (s *Solver) eliminateVar(v int, pos, neg []*clause, res [][]Lit, occ [][]*c
 
 // resolveAll builds the non-tautological resolvents of pos × neg on v,
 // failing when they would outnumber maxRes (the growth bound).
-func resolveAll(pos, neg []*clause, v int, maxRes int) ([][]Lit, bool) {
+func (s *Solver) resolveAll(pos, neg []cref, v int, maxRes int) ([][]Lit, bool) {
 	var out [][]Lit
 	for _, cp := range pos {
 		for _, cn := range neg {
-			r, taut := resolve(cp.lits, cn.lits, v)
+			r, taut := resolve(s.ca.lits(cp), s.ca.lits(cn), v)
 			if taut {
 				continue
 			}
@@ -586,8 +597,8 @@ func (s *Solver) Snapshot(withLearnts bool) (nvars int, clauses [][]Lit) {
 		out = append(out, []Lit{l})
 	}
 	for _, c := range s.clauses {
-		if !c.deleted {
-			out = append(out, append([]Lit(nil), c.lits...))
+		if !s.ca.deleted(c) {
+			out = append(out, append([]Lit(nil), s.ca.lits(c)...))
 		}
 	}
 	for _, e := range s.elimStack {
@@ -597,8 +608,8 @@ func (s *Solver) Snapshot(withLearnts bool) (nvars int, clauses [][]Lit) {
 	}
 	if withLearnts {
 		for _, c := range s.learnts {
-			if !c.deleted {
-				out = append(out, append([]Lit(nil), c.lits...))
+			if !s.ca.deleted(c) {
+				out = append(out, append([]Lit(nil), s.ca.lits(c)...))
 			}
 		}
 	}

@@ -3,8 +3,8 @@ package sat
 import "testing"
 
 // TestDeletedWatcherDropped is the regression test for the stale-watcher
-// bug: propagate must check c.deleted before the blocker shortcut, or a
-// deleted clause whose blocker happens to be true keeps its watcher
+// bug: propagate must check the deleted flag before the blocker shortcut,
+// or a deleted clause whose blocker happens to be true keeps its watcher
 // forever, defeating lazy detachment.
 func TestDeletedWatcherDropped(t *testing.T) {
 	s := New()
@@ -14,7 +14,7 @@ func TestDeletedWatcherDropped(t *testing.T) {
 	lb := MkLit(b, false)
 	s.AddClause(la, lb) // watchers under ¬a (blocker b) and ¬b (blocker a)
 	s.AddClause(lb)     // make the blocker of the ¬a watcher true
-	s.clauses[0].deleted = true
+	s.ca.mem[s.clauses[0]] |= hdrDeleted
 	s.AddClause(la.Not()) // enqueue ¬a: propagate scans the ¬a watch list
 	if st := s.Solve(); st != Sat {
 		t.Fatalf("got %v, want Sat", st)

@@ -62,21 +62,6 @@ func (b lbool) not() lbool {
 	return b ^ 1
 }
 
-type clause struct {
-	lits    []Lit
-	learnt  bool
-	act     float64
-	lbd     int32 // literal block distance at learning time (LBD mode only)
-	deleted bool
-	// logged records that lits matches a clause step in the proof trace
-	// verbatim (learnt and derived clauses always; input clauses only when
-	// AddClause normalization changed nothing). Deleting an unlogged
-	// clause must not emit a trace deletion — the checker's strict
-	// matching would reject it — so the checker just keeps it live, which
-	// is sound: deletions only ever shrink the live set.
-	logged bool
-}
-
 // Stop is a shared cancellation token. A portfolio race sets it once some
 // solver wins; every other solver sharing it observes the flag at its next
 // search-loop poll (every 256 conflicts and at restart boundaries) and
@@ -115,33 +100,38 @@ func (s Status) String() string {
 // exhausted before a verdict was reached.
 var ErrBudget = errors.New("sat: budget exhausted")
 
+// watcher is one entry of a literal's watch list: a watched clause and a
+// blocker literal whose truth lets propagate skip the clause unread.
 type watcher struct {
-	c       *clause
+	c       cref
 	blocker Lit
 }
 
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
-	clauses []*clause
-	learnts []*clause
+	ca      clauseArena // every clause's header and literals (see arena.go)
+	clauses []cref      // problem clauses, in insertion order
+	learnts []cref      // live learnt clauses, in learning order
 	watches [][]watcher // indexed by literal
 
 	assigns  []lbool
 	level    []int32
-	reason   []*clause
+	reason   []cref // crefUndef for decisions, assumptions, and units
 	trail    []Lit
 	trailLim []int32
 	qhead    int
 
-	activity []float64
 	varInc   float64
-	order    *varHeap
-	polarity []bool // saved phases
+	order    varHeap // also owns the variable activities
+	polarity []bool  // saved phases
 
 	claInc float64
 
 	seen     []byte
 	analyzeT []Lit
+	addT     []Lit // normalized clause in addClause and addDerived
+	probeT   []Lit // inprocessing: probed literals, resolvents
+	keptT    []Lit // inprocessing: vivified clause
 
 	// Budgets: 0 means unlimited.
 	ConflictBudget int64
@@ -248,17 +238,19 @@ type Solver struct {
 
 	model []lbool
 	ok    bool
+
+	compactions   int64 // arena compactions performed
+	noAutoCompact bool  // tests only: never compact on the wasted-words trigger
 }
 
 // New returns an empty solver.
 func New() *Solver {
-	s := &Solver{
+	return &Solver{
+		ca:     newClauseArena(0),
 		varInc: 1.0,
 		claInc: 1.0,
 		ok:     true,
 	}
-	s.order = &varHeap{act: &s.activity}
-	return s
 }
 
 // NumVars returns the number of allocated variables.
@@ -277,8 +269,8 @@ func (s *Solver) NewVar() int {
 	s.lbdSeen = append(s.lbdSeen, 0)
 	s.assigns = append(s.assigns, lUndef)
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
-	s.activity = append(s.activity, 0)
+	s.reason = append(s.reason, crefUndef)
+	s.order.act = append(s.order.act, 0)
 	// Default phase: false (negated); positive under PhasePositive.
 	s.polarity = append(s.polarity, !s.PhasePositive)
 	s.seen = append(s.seen, 0)
@@ -334,7 +326,7 @@ func (s *Solver) addClause(lits []Lit, learnt bool) bool {
 		s.logInput(lits)
 	}
 	// Normalize: sort-free dedup, drop false lits, detect tautology/sat.
-	out := lits[:0:0]
+	out := s.addT[:0]
 	for _, l := range lits {
 		if l.Var() >= len(s.assigns) {
 			panic(fmt.Sprintf("sat: clause mentions unallocated variable %d", l.Var()))
@@ -359,33 +351,35 @@ func (s *Solver) addClause(lits []Lit, learnt bool) bool {
 			out = append(out, l)
 		}
 	}
+	s.addT = out[:0]
 	switch len(out) {
 	case 0:
 		s.ok = false
 		return false
 	case 1:
-		s.uncheckedEnqueue(out[0], nil)
-		s.ok = s.propagate() == nil
+		s.uncheckedEnqueue(out[0], crefUndef)
+		s.ok = s.propagate() == crefUndef
 		return s.ok
 	}
 	// The stored clause matches the logged input step exactly when
 	// normalization dropped nothing (sorted-multiset delete matching makes
 	// literal order irrelevant).
-	c := &clause{lits: out, logged: len(out) == len(lits)}
+	c := s.ca.alloc(out, false, len(out) == len(lits))
 	s.clauses = append(s.clauses, c)
 	s.attach(c)
 	return true
 }
 
-func (s *Solver) attach(c *clause) {
-	l0, l1 := c.lits[0], c.lits[1]
+func (s *Solver) attach(c cref) {
+	lits := s.ca.lits(c)
+	l0, l1 := lits[0], lits[1]
 	s.watches[l0.Not()] = append(s.watches[l0.Not()], watcher{c, l1})
 	s.watches[l1.Not()] = append(s.watches[l1.Not()], watcher{c, l0})
 }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
-func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
+func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
 	v := l.Var()
 	if l.Neg() {
 		s.assigns[v] = lFalse
@@ -397,23 +391,28 @@ func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
 	s.trail = append(s.trail, l)
 }
 
-// propagate performs unit propagation; returns the conflicting clause or nil.
-func (s *Solver) propagate() *clause {
+// propagate performs unit propagation; returns the conflicting clause or
+// crefUndef.
+func (s *Solver) propagate() cref {
+	// Propagation allocates no clause, so the arena cannot move here.
+	mem := s.ca.mem
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.Propagations++
 		ws := s.watches[p]
+		notP := p.Not()
 		j := 0
 	nextWatcher:
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
 			c := w.c
+			h := uint32(mem[c])
 			// Deleted clauses must be dropped before the blocker shortcut:
 			// a deleted clause whose blocker happens to be true would
 			// otherwise keep its watcher forever, defeating lazy
 			// detachment and bloating hot watch lists.
-			if c.deleted {
+			if h&hdrDeleted != 0 {
 				continue
 			}
 			if s.valueLit(w.blocker) == lTrue {
@@ -421,22 +420,22 @@ func (s *Solver) propagate() *clause {
 				j++
 				continue
 			}
+			lits := mem[c+1 : c+1+cref(h>>hdrFlagBits)]
 			// Make sure the false literal is lits[1].
-			notP := p.Not()
-			if c.lits[0] == notP {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0] == notP {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			first := c.lits[0]
+			first := lits[0]
 			if first != w.blocker && s.valueLit(first) == lTrue {
 				ws[j] = watcher{c, first}
 				j++
 				continue
 			}
 			// Look for a new watch.
-			for k := 2; k < len(c.lits); k++ {
-				if s.valueLit(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					nw := c.lits[1].Not()
+			for k := 2; k < len(lits); k++ {
+				if s.valueLit(lits[k]) != lFalse {
+					lits[1], lits[k] = lits[k], lits[1]
+					nw := lits[1].Not()
 					s.watches[nw] = append(s.watches[nw], watcher{c, first})
 					continue nextWatcher
 				}
@@ -458,11 +457,12 @@ func (s *Solver) propagate() *clause {
 		}
 		s.watches[p] = ws[:j]
 	}
-	return nil
+	return crefUndef
 }
 
-// analyze produces a learnt clause (first UIP) and a backtrack level.
-func (s *Solver) analyze(confl *clause) ([]Lit, int) {
+// analyze produces a learnt clause (first UIP) and a backtrack level. The
+// clause is a view of a solver-owned buffer, valid until the next call.
+func (s *Solver) analyze(confl cref) ([]Lit, int) {
 	learnt := s.analyzeT[:0]
 	learnt = append(learnt, 0) // placeholder for the asserting literal
 	pathC := 0
@@ -470,16 +470,16 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 	idx := len(s.trail) - 1
 
 	for {
-		if s.LBD && confl.learnt {
+		if s.LBD && s.ca.learnt(confl) {
 			// Reward clauses that keep participating in conflicts and let
 			// their LBD improve: a clause that has become glue is worth
 			// keeping regardless of the level pattern it was learnt at.
 			s.bumpClause(confl)
-			if nl := s.computeLBD(confl.lits); nl < confl.lbd {
-				confl.lbd = nl
+			if nl := s.computeLBD(s.ca.lits(confl)); nl < s.ca.lbd(confl) {
+				s.ca.setLBD(confl, nl)
 			}
 		}
-		for _, q := range confl.lits {
+		for _, q := range s.ca.lits(confl) {
 			if p != -1 && q == p {
 				continue
 			}
@@ -538,19 +538,17 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 		s.seen[l.Var()] = 0
 	}
 	s.analyzeT = learnt[:0]
-	res := make([]Lit, len(learnt))
-	copy(res, learnt)
-	return res, btLevel
+	return learnt, btLevel
 }
 
 // redundant reports whether literal l in a learnt clause is implied by the
 // remaining literals through its reason clause (cheap one-level check).
 func (s *Solver) redundant(l Lit) bool {
 	r := s.reason[l.Var()]
-	if r == nil {
+	if r == crefUndef {
 		return false
 	}
-	for _, q := range r.lits {
+	for _, q := range s.ca.lits(r) {
 		if q.Var() == l.Var() {
 			continue
 		}
@@ -562,21 +560,23 @@ func (s *Solver) redundant(l Lit) bool {
 }
 
 func (s *Solver) bumpVar(v int) {
-	s.activity[v] += s.varInc
-	if s.activity[v] > 1e100 {
-		for i := range s.activity {
-			s.activity[i] *= 1e-100
+	act := s.order.act
+	act[v] += s.varInc
+	if act[v] > 1e100 {
+		for i := range act {
+			act[i] *= 1e-100
 		}
 		s.varInc *= 1e-100
 	}
 	s.order.update(v)
 }
 
-func (s *Solver) bumpClause(c *clause) {
-	c.act += s.claInc
-	if c.act > 1e20 {
+func (s *Solver) bumpClause(c cref) {
+	a := s.ca.act(c) + s.claInc
+	s.ca.setAct(c, a)
+	if a > 1e20 {
 		for _, cl := range s.learnts {
-			cl.act *= 1e-20
+			s.ca.setAct(cl, s.ca.act(cl)*1e-20)
 		}
 		s.claInc *= 1e-20
 	}
@@ -591,7 +591,7 @@ func (s *Solver) cancelUntil(level int) {
 		v := s.trail[i].Var()
 		s.polarity[v] = s.assigns[v] == lFalse
 		s.assigns[v] = lUndef
-		s.reason[v] = nil
+		s.reason[v] = crefUndef
 		s.order.pushIfAbsent(v)
 	}
 	s.trail = s.trail[:lim]
@@ -636,9 +636,9 @@ func (s *Solver) computeLBD(lits []Lit) int32 {
 // rest, the worse half — highest LBD first, lowest activity as tiebreak —
 // is deleted. Deleted clauses are detached lazily by propagate.
 func (s *Solver) reduceDBLBD() {
-	var removable []*clause
+	var removable []cref
 	for _, c := range s.learnts {
-		if len(c.lits) <= 2 || c.lbd <= 2 || s.locked(c) {
+		if s.ca.size(c) <= 2 || s.ca.lbd(c) <= 2 || s.locked(c) {
 			continue
 		}
 		removable = append(removable, c)
@@ -647,19 +647,20 @@ func (s *Solver) reduceDBLBD() {
 		return
 	}
 	sort.Slice(removable, func(i, j int) bool {
-		if removable[i].lbd != removable[j].lbd {
-			return removable[i].lbd > removable[j].lbd
+		ci, cj := removable[i], removable[j]
+		if li, lj := s.ca.lbd(ci), s.ca.lbd(cj); li != lj {
+			return li > lj
 		}
-		return removable[i].act < removable[j].act
+		return s.ca.act(ci) < s.ca.act(cj)
 	})
 	for _, c := range removable[:len(removable)/2] {
-		c.deleted = true
+		s.ca.free(c)
 		s.Removed++
-		s.logDelete(c.lits)
+		s.logDelete(s.ca.lits(c))
 	}
 	kept := s.learnts[:0]
 	for _, c := range s.learnts {
-		if !c.deleted {
+		if !s.ca.deleted(c) {
 			kept = append(kept, c)
 		}
 	}
@@ -695,14 +696,14 @@ func (s *Solver) reduceDB() {
 	// avoided; use nth-element style two-pass threshold).
 	sum := 0.0
 	for _, c := range s.learnts {
-		sum += c.act
+		sum += s.ca.act(c)
 	}
 	threshold := sum / float64(len(s.learnts))
 	kept := s.learnts[:0]
 	for _, c := range s.learnts {
-		if len(c.lits) > 2 && c.act < threshold && !s.locked(c) {
-			c.deleted = true
-			s.logDelete(c.lits)
+		if s.ca.size(c) > 2 && s.ca.act(c) < threshold && !s.locked(c) {
+			s.ca.free(c)
+			s.logDelete(s.ca.lits(c))
 		} else {
 			kept = append(kept, c)
 		}
@@ -710,8 +711,8 @@ func (s *Solver) reduceDB() {
 	s.learnts = kept
 }
 
-func (s *Solver) locked(c *clause) bool {
-	l := c.lits[0]
+func (s *Solver) locked(c cref) bool {
+	l := s.ca.lits(c)[0]
 	return s.reason[l.Var()] == c && s.valueLit(l) == lTrue
 }
 
@@ -748,6 +749,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			return Unsat
 		}
 	}
+	s.maybeCompact()
 	if s.nextInproc == 0 {
 		// No pass has run yet (instance below the size threshold, or
 		// inprocessing just enabled): earn some conflicts before the
@@ -803,6 +805,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 				return Unsat
 			}
 		}
+		s.maybeCompact()
 	}
 }
 
@@ -812,7 +815,7 @@ func (s *Solver) search(conflBudget int64, assumptions []Lit, maxLearnts *float6
 	var conflicts int64
 	for {
 		confl := s.propagate()
-		if confl != nil {
+		if confl != crefUndef {
 			s.Conflicts++
 			conflicts++
 			// Poll the deadline and the cancellation token inside the
@@ -842,9 +845,10 @@ func (s *Solver) search(conflBudget int64, assumptions []Lit, maxLearnts *float6
 			}
 			s.cancelUntil(btLevel)
 			if len(learnt) == 1 {
-				s.uncheckedEnqueue(learnt[0], nil)
+				s.uncheckedEnqueue(learnt[0], crefUndef)
 			} else {
-				c := &clause{lits: learnt, learnt: true, lbd: lbd, logged: true}
+				c := s.ca.alloc(learnt, true, true)
+				s.ca.setLBD(c, lbd)
 				s.learnts = append(s.learnts, c)
 				s.attach(c)
 				s.bumpClause(c)
@@ -874,7 +878,7 @@ func (s *Solver) search(conflBudget int64, assumptions []Lit, maxLearnts *float6
 				return Unsat
 			default:
 				s.trailLim = append(s.trailLim, int32(len(s.trail)))
-				s.uncheckedEnqueue(a, nil)
+				s.uncheckedEnqueue(a, crefUndef)
 			}
 			continue
 		}
@@ -883,7 +887,7 @@ func (s *Solver) search(conflBudget int64, assumptions []Lit, maxLearnts *float6
 			return Sat
 		}
 		s.trailLim = append(s.trailLim, int32(len(s.trail)))
-		s.uncheckedEnqueue(l, nil)
+		s.uncheckedEnqueue(l, crefUndef)
 	}
 }
 
@@ -898,19 +902,19 @@ func (s *Solver) Value(v int) bool {
 
 // varHeap is a max-heap over variable activities.
 type varHeap struct {
-	act     *[]float64
-	heap    []int
-	indices []int // var -> heap position+1, 0 = absent
+	act     []float64 // variable activities, indexed by variable
+	heap    []int32
+	indices []int32 // var -> heap position+1, 0 = absent
 }
 
 func (h *varHeap) less(i, j int) bool {
-	return (*h.act)[h.heap[i]] > (*h.act)[h.heap[j]]
+	return h.act[h.heap[i]] > h.act[h.heap[j]]
 }
 
 func (h *varHeap) swap(i, j int) {
 	h.heap[i], h.heap[j] = h.heap[j], h.heap[i]
-	h.indices[h.heap[i]] = i + 1
-	h.indices[h.heap[j]] = j + 1
+	h.indices[h.heap[i]] = int32(i + 1)
+	h.indices[h.heap[j]] = int32(j + 1)
 }
 
 func (h *varHeap) up(i int) {
@@ -949,8 +953,8 @@ func (h *varHeap) push(v int) {
 	if h.indices[v] != 0 {
 		return
 	}
-	h.heap = append(h.heap, v)
-	h.indices[v] = len(h.heap)
+	h.heap = append(h.heap, int32(v))
+	h.indices[v] = int32(len(h.heap))
 	h.up(len(h.heap) - 1)
 }
 
@@ -969,11 +973,11 @@ func (h *varHeap) pop() (int, bool) {
 	if len(h.heap) > 0 {
 		h.down(0)
 	}
-	return v, true
+	return int(v), true
 }
 
 func (h *varHeap) update(v int) {
 	if v < len(h.indices) && h.indices[v] != 0 {
-		h.up(h.indices[v] - 1)
+		h.up(int(h.indices[v]) - 1)
 	}
 }

@@ -349,3 +349,29 @@ func TestQuarantineMetricsNil(t *testing.T) {
 		t.Fatal("GC with nil metrics")
 	}
 }
+
+// TestQuarantineFailedPublishNotCounted: when the final rename into
+// quarantine/ fails, Quarantine reports the error and the entry is
+// neither counted by store.scrub.quarantined nor seen by QuarantineLen,
+// so the two never disagree. The key is out of service either way.
+func TestQuarantineFailedPublishNotCounted(t *testing.T) {
+	s, m := openTestStore(t)
+	keys := putN(t, s, 1)
+	// A non-empty directory at the final name makes the rename fail.
+	final := filepath.Join(s.Dir(), quarantineDir, keys[0].Hex()+entrySuffix)
+	if err := os.MkdirAll(filepath.Join(final, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Quarantine(keys[0], "test"); err == nil {
+		t.Fatal("Quarantine over a blocked final name must fail")
+	}
+	if n := m.Counter(MetricScrubQuarantined); n != 0 {
+		t.Fatalf("store.scrub.quarantined = %d after a failed quarantine, want 0", n)
+	}
+	if n := s.QuarantineLen(); n != 0 {
+		t.Fatalf("QuarantineLen = %d after a failed quarantine, want 0", n)
+	}
+	if s.Contains(keys[0]) {
+		t.Fatal("an entry taken out for quarantine must not be served")
+	}
+}

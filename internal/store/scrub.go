@@ -85,19 +85,28 @@ func (s *Store) QuarantineLen() int {
 // key is a clean miss: the next Get re-validates and a fresh Put simply
 // writes a new object. The damaged bytes are preserved (not deleted)
 // for the operator's post-mortem.
+//
+// The entry is first staged under a name QuarantineLen does not count,
+// then the counter is bumped, then the final rename publishes it: anyone
+// who sees the entry in QuarantineLen also sees it in the counter.
 func (s *Store) Quarantine(k Key, reason string) error {
 	qdir := filepath.Join(s.dir, quarantineDir)
 	if err := os.MkdirAll(qdir, 0o755); err != nil {
 		return fmt.Errorf("store: %v", err)
 	}
 	hx := k.Hex()
-	if err := os.Rename(s.entryPath(k), filepath.Join(qdir, hx+entrySuffix)); err != nil {
+	staged := filepath.Join(qdir, hx+stagingSuffix)
+	if err := os.Rename(s.entryPath(k), staged); err != nil {
 		return fmt.Errorf("store: %v", err)
 	}
 	os.Remove(s.touchPath(k))
+	s.metrics.Add(MetricScrubQuarantined, 1)
+	if err := os.Rename(staged, filepath.Join(qdir, hx+entrySuffix)); err != nil {
+		s.metrics.Add(MetricScrubQuarantined, -1)
+		return fmt.Errorf("store: %v", err)
+	}
 	_ = os.WriteFile(filepath.Join(qdir, hx+reasonSuffix),
 		[]byte(time.Now().UTC().Format(time.RFC3339)+" "+reason+"\n"), 0o644)
-	s.metrics.Add(MetricScrubQuarantined, 1)
 	return nil
 }
 

@@ -171,6 +171,7 @@ const (
 	entrySuffix   = ".tve"
 	touchSuffix   = ".tvt"
 	reasonSuffix  = ".reason"
+	stagingSuffix = ".staging" // a quarantined entry before it is counted
 )
 
 // Open opens (creating if needed) the store at dir. The metrics registry
