@@ -132,7 +132,7 @@ func run() int {
 			break
 		}
 		if *server != "" {
-			code = validateFileRemote(flag.Arg(0), *server, budget, *emitProofs, *traceFile, *statsJSON)
+			code = validateFileRemote(flag.Arg(0), *server, budget, *emitProofs, *traceFile, *statsJSON, *phaseReport)
 			break
 		}
 		if !*noPortfolio {
@@ -143,6 +143,8 @@ func run() int {
 		}
 		code = validateFile(flag.Arg(0), copts, budget, *emitProofs, tracer, *phaseReport)
 	case "fig6", "fig7", "eval":
+		var sum *harness.Summary
+		var sj *harness.StatsJSON
 		if *server != "" {
 			// Remote experiment: the daemon validates the same synthetic
 			// corpus; rendering goes through the identical Summary code.
@@ -154,39 +156,26 @@ func run() int {
 			res, err := remoteBatch(*server, fns, budget, *emitProofs != "", *traceFile != "", pw)
 			check(err)
 			finishRemote(res, *emitProofs, *traceFile)
-			sum := res.Summary()
-			if *experiment == "fig6" || *experiment == "eval" {
-				sum.Figure6(os.Stdout)
+			sum, sj = res.Summary(), res.Stats
+		} else {
+			cfg := harness.Config{
+				Profile:          corpus.GCCLike(*n),
+				Budget:           budget,
+				InadequateEvery:  *inadequate,
+				Checker:          copts,
+				Workers:          *jobs,
+				DisableVCCache:   *noVCCache,
+				DisablePortfolio: *noPortfolio,
+				ProofDir:         *emitProofs,
+				Tracer:           tracer,
 			}
-			if *experiment == "fig7" || *experiment == "eval" {
-				fmt.Println()
-				sum.Figure7(os.Stdout)
+			if *progress {
+				cfg.Progress = os.Stderr
 			}
-			if *stats {
-				fmt.Println()
-				sum.RenderStats(os.Stdout)
-			}
-			if *statsJSON {
-				printStatsJSON(res.Stats)
-			}
-			break
+			sum = harness.Run(cfg)
+			check(sum.ProofErr)
+			sj = sum.StatsJSON()
 		}
-		cfg := harness.Config{
-			Profile:          corpus.GCCLike(*n),
-			Budget:           budget,
-			InadequateEvery:  *inadequate,
-			Checker:          copts,
-			Workers:          *jobs,
-			DisableVCCache:   *noVCCache,
-			DisablePortfolio: *noPortfolio,
-			ProofDir:         *emitProofs,
-			Tracer:           tracer,
-		}
-		if *progress {
-			cfg.Progress = os.Stderr
-		}
-		sum := harness.Run(cfg)
-		check(sum.ProofErr)
 		if *experiment == "fig6" || *experiment == "eval" {
 			sum.Figure6(os.Stdout)
 		}
@@ -203,7 +192,7 @@ func run() int {
 			sum.PhaseReport(os.Stdout)
 		}
 		if *statsJSON {
-			printStatsJSON(sum.StatsJSON())
+			printStatsJSON(sj)
 		}
 	case "bugs":
 		code = runBugs(budget)

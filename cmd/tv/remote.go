@@ -73,7 +73,7 @@ func finishRemote(res *tvd.BatchResult, proofDir, traceFile string) {
 // validateFileRemote is single-file mode against a daemon: every
 // defined function in the module becomes one job.
 func validateFileRemote(path, addr string, budget tv.Budget,
-	proofDir, traceFile string, statsJSON bool) int {
+	proofDir, traceFile string, statsJSON, phaseReport bool) int {
 	src, err := os.ReadFile(path)
 	check(err)
 	mod, err := llvmir.Parse(string(src))
@@ -107,6 +107,10 @@ func validateFileRemote(path, addr string, budget tv.Budget,
 		}
 	}
 	finishRemote(res, proofDir, traceFile)
+	if phaseReport {
+		fmt.Println()
+		res.Summary().PhaseReport(os.Stdout)
+	}
 	if statsJSON {
 		printStatsJSON(res.Stats)
 	}

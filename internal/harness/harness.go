@@ -125,7 +125,8 @@ type Summary struct {
 	// ratio is the parallel speedup (see Speedup).
 	WallTime time.Duration
 	CPUTime  time.Duration
-	// SMTStats aggregates solver statistics across all workers.
+	// SMTStats is the typed view of the solver totals in Metrics
+	// (smt.StatsOf), set once when the run completes.
 	SMTStats smt.Stats
 	// Certified counts rows whose certificates and witness were written
 	// (0 when proof emission was off).
@@ -134,9 +135,10 @@ type Summary struct {
 	CertFailed int
 	// ProofErr records a failure writing the run manifest, if any.
 	ProofErr error
-	// Metrics holds the run's per-phase latency histograms and outcome
-	// counters, merged across workers. Always non-nil after Run; Figure7,
-	// RenderStats, and PhaseReport render from it.
+	// Metrics holds the run's per-phase latency histograms, outcome
+	// counters, and solver totals, merged across workers. Always non-nil
+	// after Run; Figure7, RenderStats, PhaseReport, and StatsJSON render
+	// from it.
 	Metrics *telemetry.Metrics
 }
 
@@ -202,7 +204,6 @@ func Run(cfg Config) *Summary {
 				}
 				sum.Rows[res.Index] = res.Row // index-disjoint writes: no lock needed
 				mu.Lock()
-				sum.SMTStats.Add(res.Stats)
 				sum.Metrics.Merge(res.Metrics)
 				sum.CPUTime += res.Row.Duration
 				done++
@@ -222,8 +223,9 @@ func Run(cfg Config) *Summary {
 			sum.ProofErr = err
 		}
 		// The shared term segment belongs to the whole run, not any row.
-		sum.SMTStats.ProofBytes += dw.TermBytes()
+		(&smt.Stats{ProofBytes: dw.TermBytes()}).Record(sum.Metrics)
 	}
+	sum.SMTStats = smt.StatsOf(sum.Metrics)
 	if cfg.ProofDir != "" {
 		m := &proof.Manifest{Terms: proof.TermsName}
 		if dw != nil {
@@ -257,7 +259,7 @@ var validateHook func(i int, f corpus.Function)
 // returned Metrics registry is private to this call — the caller merges
 // it into the run-wide one — so recording it needs no cross-worker
 // synchronization.
-func validateOne(j Job) (row ResultRow, stats smt.Stats, m *telemetry.Metrics) {
+func validateOne(j Job) (row ResultRow, m *telemetry.Metrics) {
 	m = telemetry.NewMetrics()
 	f := j.Fn
 	start := time.Now()
@@ -308,7 +310,7 @@ func validateOne(j Job) (row ResultRow, stats smt.Stats, m *telemetry.Metrics) {
 				// Certificates recorded before the panic may already back
 				// cache entries other functions reference; keep them.
 				n, perr := rec.Close(false)
-				stats.ProofBytes += n
+				(&smt.Stats{ProofBytes: n}).Record(m)
 				if perr != nil {
 					row.ProofErr = perr
 				}
@@ -333,7 +335,7 @@ func validateOne(j Job) (row ResultRow, stats smt.Stats, m *telemetry.Metrics) {
 			Class:    tv.ClassOther,
 			Duration: time.Since(start),
 			Err:      fmt.Errorf("harness: corpus function %s does not parse: %w", f.Name, err),
-		}, stats, m
+		}, m
 	}
 	if j.DW != nil {
 		rec = j.DW.NewRecorder(f.Name)
@@ -359,12 +361,13 @@ func validateOne(j Job) (row ResultRow, stats smt.Stats, m *telemetry.Metrics) {
 			}
 		}
 	}
-	return row, out.SMTStats, m
+	return row, m
 }
 
 // RecordOutcome folds one validation outcome into m: the per-phase
 // latency histograms (phase.*), the whole-run histogram (fn.duration),
-// the outcome counter (class.*), and — for Timeout and OOM rows — the
+// the outcome counter (class.*), the function's solver totals (the
+// counters of smt.Stats.Record), and — for Timeout and OOM rows — the
 // tail.* phase histograms that explain where the budget went (the
 // Figure 6 failure tail). Shared by the harness worker and cmd/tv's
 // single-file mode.
@@ -374,6 +377,7 @@ func RecordOutcome(m *telemetry.Metrics, parse time.Duration, out *tv.Outcome) {
 	}
 	m.Observe("fn.duration", out.Duration)
 	m.Add("class."+out.Class.String(), 1)
+	out.SMTStats.Record(m)
 	obs := func(name string, d time.Duration) {
 		if d > 0 {
 			m.Observe(name, d)
@@ -454,7 +458,7 @@ func (s *Summary) RenderStats(w io.Writer) {
 			fmtDur(time.Duration(h.Max)), h.Count)
 	}
 	if s.SMTStats.Certificates > 0 || s.CertFailed > 0 {
-		fmt.Fprintf(w, "Proofs: %d query certificates, %d DRAT trace bytes, %d/%d functions certified\n",
+		fmt.Fprintf(w, "Proofs: %d query certificates, %d certificate bytes, %d/%d functions certified\n",
 			s.SMTStats.Certificates, s.SMTStats.ProofBytes, s.Certified, s.Total)
 	}
 	if s.CertFailed > 0 {

@@ -162,9 +162,8 @@ type JobResult struct {
 	// Index echoes Job.Index.
 	Index int
 	Row   ResultRow
-	Stats smt.Stats
 	// Metrics is the job-private registry (per-phase latency, mem.*,
-	// class.* counters); merge it into a run-wide one.
+	// class.* counters, solver totals); merge it into a run-wide one.
 	Metrics *telemetry.Metrics
 }
 
@@ -188,11 +187,11 @@ func (p *Pool) runJob(j Job, scratch *smt.Scratch) {
 	if p.pf != nil {
 		p.pf.Acquire()
 	}
-	row, stats, m := validateOne(j)
+	row, m := validateOne(j)
 	if p.pf != nil {
 		p.pf.Release()
 	}
 	if j.Done != nil {
-		j.Done(JobResult{Index: j.Index, Row: row, Stats: stats, Metrics: m})
+		j.Done(JobResult{Index: j.Index, Row: row, Metrics: m})
 	}
 }

@@ -46,8 +46,6 @@ func (s *Solver) solveCubed(primary *sat.Solver, budget int64, assumps ...sat.Li
 	}
 	s.Stats.CubeEscalations++
 	s.Stats.CubesGenerated += int64(len(cs.Cubes))
-	s.Metrics.Add("cube.escalation", 1)
-	s.Metrics.Add("cube.generated", int64(len(cs.Cubes)))
 
 	// The query's own thread always conquers; idle portfolio slots are
 	// stolen for extra workers, never more than there are cubes to share.
@@ -191,12 +189,9 @@ func (s *Solver) solveCubed(primary *sat.Solver, budget int64, assumps ...sat.Li
 	}
 	s.Stats.CubesRefuted += int64(refuted)
 	s.Stats.CubeSteals += int64(steals)
-	s.Metrics.Add("cube.refuted", int64(refuted))
-	s.Metrics.Add("cube.steal", int64(steals))
 
 	if satWinner != nil {
 		s.Stats.CubesSat++
-		s.Metrics.Add("cube.sat", 1)
 		return sat.Sat, satWinner, true
 	}
 	if !unknown && refuted == len(cs.Cubes) {
@@ -273,8 +268,6 @@ func (s *Solver) conquerInPlace(primary *sat.Solver, cs *sat.CubeSet, budget int
 		if st == sat.Sat {
 			s.Stats.CubesRefuted += int64(refuted)
 			s.Stats.CubesSat++
-			s.Metrics.Add("cube.refuted", int64(refuted))
-			s.Metrics.Add("cube.sat", 1)
 			return sat.Sat, primary, true
 		}
 		if st != sat.Unsat {
@@ -285,7 +278,6 @@ func (s *Solver) conquerInPlace(primary *sat.Solver, cs *sat.CubeSet, budget int
 		primary.LearnClause(negation(cube)...)
 	}
 	s.Stats.CubesRefuted += int64(refuted)
-	s.Metrics.Add("cube.refuted", int64(refuted))
 	if !unknown && refuted == len(cs.Cubes) {
 		for _, p := range cs.Internal {
 			primary.LearnClause(negation(p)...)

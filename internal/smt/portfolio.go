@@ -357,7 +357,6 @@ func (s *Solver) raceStage(primary *sat.Solver, budget int64, deadline time.Time
 	}
 	s.Stats.Races++
 	s.Stats.RaceTokens += int64(lent)
-	s.Metrics.Add("portfolio.race", 1)
 
 	cancel := &sat.Stop{}
 	// With a recorder attached the snapshot must exclude learnt clauses: a
@@ -442,14 +441,11 @@ func (s *Solver) raceStage(primary *sat.Solver, budget int64, deadline time.Time
 	}
 	s.Stats.RaceWastedConflicts += wastedC
 	s.Stats.RaceWastedProps += wastedP
-	s.Metrics.Add("portfolio.wasted.conflicts", wastedC)
-	s.Metrics.Add("portfolio.wasted.props", wastedP)
 	if winSt != sat.Unknown {
 		if winner == primary {
 			s.Metrics.Add("portfolio.win.primary", 1)
 		} else {
 			s.Stats.RaceRacerWins++
-			s.Metrics.Add("portfolio.win.racer", 1)
 		}
 	}
 	return winSt, winner, primary.Conflicts - confBefore, true

@@ -33,78 +33,6 @@ func (r Result) String() string {
 	return "unknown"
 }
 
-// Stats accumulates solver statistics across queries.
-type Stats struct {
-	Queries       int64
-	FastQueries   int64 // decided by simplification alone, no SAT call
-	CacheHits     int64 // decided by the shared VC cache, no SAT call
-	CacheMisses   int64 // cache consulted but the query had to be solved
-	CacheBytes    int64 // canonical serialization bytes hashed for cache keys
-	SATConflicts  int64
-	SATDecisions  int64
-	CNFClauses    int64
-	SolveDuration time.Duration
-	ProofBytes    int64 // serialized DRAT trace bytes recorded for certificates
-	Certificates  int64 // query certificates emitted
-
-	// Inprocessing counters (see internal/sat/preprocess.go). These count
-	// the work done by the primary per-query/per-worker instances; racer
-	// instances simplify their own snapshots and are not aggregated.
-	SubsumedClauses     int64 // clauses deleted as subsumed or root-satisfied
-	StrengthenedClauses int64 // clauses shortened by self-subsuming resolution
-	VivifiedClauses     int64 // clauses shortened by vivification probes
-	EliminatedVars      int64 // variables removed by bounded elimination
-
-	// Portfolio-racing counters.
-	Races         int64 // queries that outlived the probe budget and raced
-	RaceRacerWins int64 // races decided by a racer rather than the primary
-	RaceTokens    int64 // idle worker slots borrowed across all races
-	// Loser-side race accounting: CPU spent by racers whose result was
-	// discarded (and by the primary's race leg when a racer won). Kept
-	// apart from SATConflicts, which counts only work that produced the
-	// verdicts, so phase reports can show the true cost of racing.
-	RaceWastedConflicts int64
-	RaceWastedProps     int64
-
-	// Cube-and-conquer counters (the escalation tier above racing).
-	CubeEscalations int64 // queries escalated to cube-and-conquer
-	CubesGenerated  int64 // cubes emitted by the lookahead cuber
-	CubesRefuted    int64 // cubes refuted under assumptions
-	CubesSat        int64 // cubes found satisfiable (decides the query)
-	CubeSteals      int64 // cubes drained by stolen idle slots
-}
-
-// Add accumulates o into s. Callers that run many solvers (one per
-// harness worker) use it to aggregate per-solver statistics into one
-// run-wide total.
-func (s *Stats) Add(o Stats) {
-	s.Queries += o.Queries
-	s.FastQueries += o.FastQueries
-	s.CacheHits += o.CacheHits
-	s.CacheMisses += o.CacheMisses
-	s.CacheBytes += o.CacheBytes
-	s.SATConflicts += o.SATConflicts
-	s.SATDecisions += o.SATDecisions
-	s.CNFClauses += o.CNFClauses
-	s.SolveDuration += o.SolveDuration
-	s.ProofBytes += o.ProofBytes
-	s.Certificates += o.Certificates
-	s.SubsumedClauses += o.SubsumedClauses
-	s.StrengthenedClauses += o.StrengthenedClauses
-	s.VivifiedClauses += o.VivifiedClauses
-	s.EliminatedVars += o.EliminatedVars
-	s.Races += o.Races
-	s.RaceRacerWins += o.RaceRacerWins
-	s.RaceTokens += o.RaceTokens
-	s.RaceWastedConflicts += o.RaceWastedConflicts
-	s.RaceWastedProps += o.RaceWastedProps
-	s.CubeEscalations += o.CubeEscalations
-	s.CubesGenerated += o.CubesGenerated
-	s.CubesRefuted += o.CubesRefuted
-	s.CubesSat += o.CubesSat
-	s.CubeSteals += o.CubeSteals
-}
-
 // Solver decides QF_ABV formulas built in a Context. The zero value is not
 // usable; use NewSolver.
 type Solver struct {

@@ -10,7 +10,9 @@ import (
 // span and one latency observation per CheckSat query, annotated with the
 // query's outcome. Everything here is reached only when a Tracer or
 // Metrics registry is attached (see CheckSat), so the disabled path never
-// pays more than one nil check.
+// pays more than one nil check. The solver's totals (Stats) are not
+// counted here: the harness folds them into the job's registry once per
+// function (Stats.Record).
 
 // finishQuery closes the per-query span and records the query's latency.
 // before is a snapshot of Stats at query entry; the attribute values are
@@ -19,20 +21,6 @@ func (s *Solver) finishQuery(sp *telemetry.Span, start time.Time, before Stats, 
 	d := time.Since(start)
 	s.Metrics.Observe("smt.query", d)
 	s.Metrics.Add("smt.query."+res.String(), 1)
-	// Inprocessing work this query contributed (portfolio.* counters are
-	// emitted at race time in solveRaced, where the outcome is known).
-	if n := s.Stats.SubsumedClauses - before.SubsumedClauses; n > 0 {
-		s.Metrics.Add("inprocess.subsumed", n)
-	}
-	if n := s.Stats.StrengthenedClauses - before.StrengthenedClauses; n > 0 {
-		s.Metrics.Add("inprocess.strengthened", n)
-	}
-	if n := s.Stats.VivifiedClauses - before.VivifiedClauses; n > 0 {
-		s.Metrics.Add("inprocess.vivified", n)
-	}
-	if n := s.Stats.EliminatedVars - before.EliminatedVars; n > 0 {
-		s.Metrics.Add("inprocess.eliminated", n)
-	}
 	if sp == nil {
 		return
 	}

@@ -1,8 +1,11 @@
 package telemetry
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 	"time"
 )
@@ -17,11 +20,36 @@ const histBuckets = 64
 // approximations (within 2x). Histogram itself is not goroutine-safe;
 // Metrics serializes access.
 type Histogram struct {
-	Count   int64
-	Sum     int64 // total nanoseconds
-	Min     int64 // ns; valid when Count > 0
-	Max     int64 // ns
-	buckets [histBuckets]int64
+	Count int64
+	Sum   int64 // total nanoseconds
+	Min   int64 // ns; valid when Count > 0
+	Max   int64 // ns
+	// buckets[j] counts bucket lo+j; it spans only the lowest to the
+	// highest bucket observed, so the many histograms a batch result
+	// carries over the wire stay small.
+	lo      int
+	buckets []int64
+}
+
+// add counts n observations in bucket i, widening the span to hold it.
+func (h *Histogram) add(i int, n int64) {
+	switch {
+	case len(h.buckets) == 0:
+		h.lo, h.buckets = i, []int64{0}
+	case i < h.lo:
+		h.buckets = append(make([]int64, h.lo-i, h.lo-i+len(h.buckets)), h.buckets...)
+		h.lo = i
+	case i >= h.lo+len(h.buckets):
+		h.buckets = append(h.buckets, make([]int64, i+1-h.lo-len(h.buckets))...)
+	}
+	h.buckets[i-h.lo] += n
+}
+
+// clone returns a copy of h that shares no memory with it.
+func (h *Histogram) clone() Histogram {
+	c := *h
+	c.buckets = slices.Clone(h.buckets)
+	return c
 }
 
 func bucketOf(ns int64) int {
@@ -42,7 +70,7 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 	h.Count++
 	h.Sum += ns
-	h.buckets[bucketOf(ns)]++
+	h.add(bucketOf(ns), 1)
 }
 
 // Merge folds o into h. Merging shards recorded independently yields
@@ -59,8 +87,10 @@ func (h *Histogram) Merge(o *Histogram) {
 	}
 	h.Count += o.Count
 	h.Sum += o.Sum
-	for i := range h.buckets {
-		h.buckets[i] += o.buckets[i]
+	for j, c := range o.buckets {
+		if c != 0 {
+			h.add(o.lo+j, c)
+		}
 	}
 }
 
@@ -84,7 +114,8 @@ func (h *Histogram) Quantile(p float64) time.Duration {
 		target = 1
 	}
 	var cum int64
-	for i, c := range h.buckets {
+	for j, c := range h.buckets {
+		i := h.lo + j
 		cum += c
 		if cum >= target {
 			hi := int64(1) << i // upper edge of bucket i
@@ -95,6 +126,62 @@ func (h *Histogram) Quantile(p float64) time.Duration {
 		}
 	}
 	return time.Duration(h.Max)
+}
+
+// histJSON is the wire form of a Histogram: exact Count/Sum/Min/Max and
+// the non-empty buckets as [index, count] pairs, so decoding restores
+// the histogram bit for bit and merges of decoded shards are exact.
+// The quantiles are for human readers; decoding ignores them.
+type histJSON struct {
+	Count   int64      `json:"count"`
+	Sum     int64      `json:"sum"`
+	Min     int64      `json:"min"`
+	Max     int64      `json:"max"`
+	P50     int64      `json:"p50"`
+	P90     int64      `json:"p90"`
+	P99     int64      `json:"p99"`
+	Buckets [][2]int64 `json:"buckets,omitempty"`
+}
+
+// MarshalJSON encodes h exactly (see histJSON).
+func (h Histogram) MarshalJSON() ([]byte, error) {
+	out := histJSON{Count: h.Count, Sum: h.Sum, Min: h.Min, Max: h.Max,
+		P50: int64(h.Quantile(0.5)), P90: int64(h.Quantile(0.9)), P99: int64(h.Quantile(0.99))}
+	for j, c := range h.buckets {
+		if c != 0 {
+			out.Buckets = append(out.Buckets, [2]int64{int64(h.lo + j), c})
+		}
+	}
+	return json.Marshal(&out)
+}
+
+// UnmarshalJSON decodes the MarshalJSON form, rejecting out-of-range
+// buckets and bucket totals that disagree with the count.
+func (h *Histogram) UnmarshalJSON(b []byte) error {
+	var in histJSON
+	if err := json.Unmarshal(b, &in); err != nil {
+		return err
+	}
+	var total int64
+	for _, bc := range in.Buckets {
+		if bc[0] < 0 || bc[0] >= histBuckets || bc[1] <= 0 {
+			return fmt.Errorf("telemetry: histogram bucket %d holds %d", bc[0], bc[1])
+		}
+		total += bc[1]
+	}
+	if total != in.Count {
+		return fmt.Errorf("telemetry: histogram buckets hold %d observations, count says %d", total, in.Count)
+	}
+	*h = Histogram{Count: in.Count, Sum: in.Sum, Min: in.Min, Max: in.Max}
+	if n := len(in.Buckets); n > 0 && in.Buckets[0][0] <= in.Buckets[n-1][0] {
+		// The encoder lists buckets in ascending order: size the span
+		// once, so a decoded histogram carries no spare capacity.
+		h.lo, h.buckets = int(in.Buckets[0][0]), make([]int64, in.Buckets[n-1][0]-in.Buckets[0][0]+1)
+	}
+	for _, bc := range in.Buckets {
+		h.add(int(bc[0]), bc[1])
+	}
+	return nil
 }
 
 // HistBucket is one rendered histogram bucket.
@@ -109,23 +196,15 @@ func (h *Histogram) Buckets() []HistBucket {
 	if h.Count == 0 {
 		return nil
 	}
-	lo, hi := -1, -1
-	for i, c := range h.buckets {
-		if c != 0 {
-			if lo < 0 {
-				lo = i
-			}
-			hi = i
-		}
-	}
-	out := make([]HistBucket, 0, hi-lo+1)
-	for i := lo; i <= hi; i++ {
+	out := make([]HistBucket, 0, len(h.buckets))
+	for j, c := range h.buckets {
+		i := h.lo + j
 		var b HistBucket
 		if i > 0 {
 			b.Lo = time.Duration(int64(1) << (i - 1))
 		}
 		b.Hi = time.Duration(int64(1) << i)
-		b.Count = h.buckets[i]
+		b.Count = c
 		out = append(out, b)
 	}
 	return out
@@ -201,7 +280,7 @@ func (m *Metrics) Hist(name string) Histogram {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if h := m.hists[name]; h != nil {
-		return *h
+		return h.clone()
 	}
 	return Histogram{}
 }
@@ -226,7 +305,7 @@ func (m *Metrics) snapshot() (map[string]int64, map[string]Histogram) {
 	}
 	hists := make(map[string]Histogram, len(m.hists))
 	for k, h := range m.hists {
-		hists[k] = *h
+		hists[k] = h.clone()
 	}
 	return counters, hists
 }
@@ -234,10 +313,18 @@ func (m *Metrics) snapshot() (map[string]int64, map[string]Histogram) {
 // Merge folds o into m. Either side may be nil. o must not be receiving
 // observations concurrently with the merge.
 func (m *Metrics) Merge(o *Metrics) {
-	if m == nil || o == nil {
+	if o == nil {
 		return
 	}
-	counters, hists := o.snapshot()
+	m.MergeSnapshot(o.snapshot())
+}
+
+// MergeSnapshot folds a Snapshot — typically one decoded from the wire —
+// into m: counters add and histograms Merge. No-op on nil.
+func (m *Metrics) MergeSnapshot(counters map[string]int64, hists map[string]Histogram) {
+	if m == nil {
+		return
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for k, v := range counters {

@@ -5,10 +5,9 @@
 //
 // Both halves are built for the harness's worker pool:
 //
-//   - The Tracer is lock-cheap — starting a span is one atomic increment
-//     and an allocation; only ending a span takes the tracer mutex, for a
-//     single slice append. Spans from any number of goroutines interleave
-//     safely.
+//   - The Tracer is lock-free — starting a span is one atomic increment
+//     and an allocation; ending one publishes it with a compare-and-swap.
+//     Spans from any number of goroutines interleave safely.
 //   - Metrics registries are mergeable: each worker records into a private
 //     registry and the harness folds them together, so the hot path never
 //     contends on a shared map.
@@ -26,8 +25,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -72,9 +71,12 @@ func (r Record) End() int64 { return r.StartNS + r.DurNS }
 type Tracer struct {
 	epoch  time.Time
 	nextID atomic.Uint64
-
-	mu      sync.Mutex
-	records []Record
+	// done is the most recently finished span; each finished span links
+	// to the one finished before it. End publishes with one
+	// compare-and-swap, so a goroutine never waits on another between
+	// two of its spans.
+	done atomic.Pointer[Span]
+	n    atomic.Int64
 }
 
 // NewTracer returns an empty tracer whose epoch is now.
@@ -85,28 +87,30 @@ func NewTracer() *Tracer {
 // Span is an in-flight span. It is owned by the goroutine that started it
 // until End; a nil Span (from a nil Tracer) ignores all operations.
 type Span struct {
-	t      *Tracer
-	id     SpanID
-	parent SpanID
-	name   string
-	start  time.Duration // offset from t.epoch
-	attrs  []Attr
+	t     *Tracer
+	rec   Record // DurNS and Attrs are filled in by End
+	attrs []Attr
+	prev  *Span // the span finished before this one (set by End)
 }
 
 // Start begins a span under parent (0 for a root span). On a nil tracer
 // it returns nil, which every Span method tolerates — the disabled path
-// costs exactly one nil check per call site.
+// costs exactly one nil check per call site. The start time is taken
+// before the span is allocated, so the span covers its own bookkeeping.
 func (t *Tracer) Start(parent SpanID, name string, attrs ...Attr) *Span {
 	if t == nil {
 		return nil
 	}
+	start := time.Since(t.epoch)
 	return &Span{
-		t:      t,
-		id:     SpanID(t.nextID.Add(1)),
-		parent: parent,
-		name:   name,
-		start:  time.Since(t.epoch),
-		attrs:  attrs,
+		t: t,
+		rec: Record{
+			ID:      SpanID(t.nextID.Add(1)),
+			Parent:  parent,
+			Name:    name,
+			StartNS: start.Nanoseconds(),
+		},
+		attrs: attrs,
 	}
 }
 
@@ -116,7 +120,7 @@ func (s *Span) ID() SpanID {
 	if s == nil {
 		return 0
 	}
-	return s.id
+	return s.rec.ID
 }
 
 // SetAttr annotates the span. No-op on nil.
@@ -128,28 +132,30 @@ func (s *Span) SetAttr(key string, value any) {
 }
 
 // End finishes the span and publishes its record to the tracer. No-op on
-// nil. End must be called at most once.
+// nil. End must be called at most once. The record is built before the
+// end time is taken and published without a lock, so whatever End
+// allocates is charged to the span and the gap to the caller's next span
+// is a few instructions.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	end := time.Since(s.t.epoch)
-	rec := Record{
-		ID:      s.id,
-		Parent:  s.parent,
-		Name:    s.name,
-		StartNS: s.start.Nanoseconds(),
-		DurNS:   (end - s.start).Nanoseconds(),
-	}
 	if len(s.attrs) > 0 {
-		rec.Attrs = make(map[string]any, len(s.attrs))
+		s.rec.Attrs = make(map[string]any, len(s.attrs))
 		for _, a := range s.attrs {
-			rec.Attrs[a.Key] = a.Value
+			s.rec.Attrs[a.Key] = a.Value
+		}
+		s.attrs = nil
+	}
+	s.rec.DurNS = time.Since(s.t.epoch).Nanoseconds() - s.rec.StartNS
+	for {
+		prev := s.t.done.Load()
+		s.prev = prev
+		if s.t.done.CompareAndSwap(prev, s) {
+			break
 		}
 	}
-	s.t.mu.Lock()
-	s.t.records = append(s.t.records, rec)
-	s.t.mu.Unlock()
+	s.t.n.Add(1)
 }
 
 // Len reports the number of finished spans.
@@ -157,9 +163,7 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.records)
+	return int(t.n.Load())
 }
 
 // Records returns a copy of the finished spans in End order (children
@@ -168,10 +172,11 @@ func (t *Tracer) Records() []Record {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Record, len(t.records))
-	copy(out, t.records)
+	out := make([]Record, 0, t.n.Load())
+	for s := t.done.Load(); s != nil; s = s.prev {
+		out = append(out, s.rec)
+	}
+	slices.Reverse(out)
 	return out
 }
 

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -116,10 +117,28 @@ func TestLintRejections(t *testing.T) {
 
 // TestTracerConcurrent exercises the tracer from many goroutines under
 // the race detector: concurrent Start/End with parent/child edges across
-// goroutines must be safe and lose nothing.
+// goroutines, read by Records while they publish, must be safe and lose
+// nothing.
 func TestTracerConcurrent(t *testing.T) {
 	tr := NewTracer()
 	const workers, per = 8, 200
+	stop := make(chan struct{})
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		for last := 0; ; {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if n := len(tr.Records()); n < last {
+				t.Errorf("Records shrank from %d to %d", last, n)
+			} else {
+				last = n
+			}
+		}
+	}()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -134,6 +153,8 @@ func TestTracerConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	close(stop)
+	<-read
 	recs := tr.Records()
 	if len(recs) != workers*per*2 {
 		t.Fatalf("got %d records, want %d", len(recs), workers*per*2)
@@ -237,5 +258,63 @@ func TestHistogramStats(t *testing.T) {
 	var empty Histogram
 	if empty.Buckets() != nil || empty.Quantile(0.5) != 0 || empty.Mean() != 0 {
 		t.Error("empty histogram not inert")
+	}
+}
+
+// TestHistogramJSONRoundTrip: the wire encoding is exact. For seeded
+// random histograms, decode(encode(h)) equals h — Count/Sum/Min/Max,
+// buckets, and therefore quantiles — and merging decoded shards encodes
+// byte-identically to encoding the merged originals: the property that
+// makes chunked remote runs report the whole batch's quantiles.
+func TestHistogramJSONRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	decode := func(t *testing.T, h Histogram) Histogram {
+		t.Helper()
+		b, err := json.Marshal(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out Histogram
+		if err := json.Unmarshal(b, &out); err != nil {
+			t.Fatalf("decode %s: %v", b, err)
+		}
+		return out
+	}
+	for trial := 0; trial < 50; trial++ {
+		var shards [3]Histogram
+		whole := Histogram{}
+		for i, n := 0, rng.Intn(500); i < n; i++ {
+			// Up to 2^62 ns, so the top buckets are exercised too.
+			v := time.Duration(rng.Int63n(1 << uint(1+rng.Intn(62))))
+			shards[rng.Intn(len(shards))].Observe(v)
+			whole.Observe(v)
+		}
+		var merged Histogram
+		for _, sh := range shards {
+			got := decode(t, sh)
+			if !reflect.DeepEqual(got, sh) {
+				t.Fatalf("trial %d: round trip changed the histogram:\nin  %+v\nout %+v", trial, sh, got)
+			}
+			for _, p := range []float64{0.5, 0.9, 0.99, 1} {
+				if got.Quantile(p) != sh.Quantile(p) {
+					t.Fatalf("trial %d: p%v %v after round trip, want %v", trial, p, got.Quantile(p), sh.Quantile(p))
+				}
+			}
+			merged.Merge(&got)
+		}
+		a, _ := json.Marshal(merged)
+		b, _ := json.Marshal(whole)
+		if !bytes.Equal(a, b) {
+			t.Fatalf("trial %d: merged decoded shards encode differently:\n%s\n%s", trial, a, b)
+		}
+	}
+	for _, bad := range []string{
+		`{"count":1,"buckets":[[64,1]]}`,
+		`{"count":2,"buckets":[[3,1]]}`,
+	} {
+		var h Histogram
+		if err := json.Unmarshal([]byte(bad), &h); err == nil {
+			t.Errorf("decoded malformed histogram %s", bad)
+		}
 	}
 }

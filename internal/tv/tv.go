@@ -191,9 +191,12 @@ func Validate(mod *llvmir.Module, fnName string, iopts isel.Options, vopts vcgen
 		iopts.TraceParent = iselSpan.ID()
 	}
 	res, err := isel.Compile(mod, fn, iopts)
-	iselSpan.End()
 	out.Phases.ISel = time.Since(iselStart)
+	// The allocation sample stops the world and can wait on other
+	// workers; the span covers it so tv.validate's breakdown explains
+	// its own duration.
 	out.MarkPhase(&out.Mem.ISel)
+	iselSpan.End()
 	if err != nil {
 		var uns *isel.ErrUnsupported
 		if errors.As(err, &uns) {
@@ -246,9 +249,9 @@ func validateCompiled(mod *llvmir.Module, fn *llvmir.Function, res *isel.Result,
 		vopts.TraceParent = vcSpan.ID()
 	}
 	points, err := vcgen.Generate(fn, res.Fn, res.Hints, vopts)
-	vcSpan.End()
 	out.Phases.VCGen = time.Since(vcStart)
-	out.MarkPhase(&out.Mem.VCGen)
+	out.MarkPhase(&out.Mem.VCGen) // inside the span, as for ISel
+	vcSpan.End()
 	if err != nil {
 		out.Class = ClassOther
 		out.Err = err

@@ -144,8 +144,9 @@ func (c *Client) ValidateAll(req *BatchRequest, onRow func(telemetry.Record)) (*
 }
 
 // mergeStats accumulates src into dst. Wall times add (batches run one
-// after another) and the speedup is recomputed; latency quantiles do
-// not compose across batches and are dropped.
+// after another) and the speedup is recomputed; counters add and
+// histograms merge, so the result is exactly what one batch over all
+// the jobs would have reported, quantiles included.
 func mergeStats(dst, src *harness.StatsJSON) {
 	if src == nil {
 		return
@@ -164,38 +165,10 @@ func mergeStats(dst, src *harness.StatsJSON) {
 	}
 	dst.Certified += src.Certified
 	dst.CertFailed += src.CertFailed
-	for name, v := range src.Counters {
-		if dst.Counters == nil {
-			dst.Counters = map[string]int64{}
-		}
-		dst.Counters[name] += v
-	}
-	a, b := &dst.SMT, &src.SMT
-	a.Queries += b.Queries
-	a.FastQueries += b.FastQueries
-	a.CacheHits += b.CacheHits
-	a.CacheMisses += b.CacheMisses
-	a.CacheBytes += b.CacheBytes
-	a.Conflicts += b.Conflicts
-	a.Decisions += b.Decisions
-	a.Clauses += b.Clauses
-	a.SolveSeconds += b.SolveSeconds
-	a.ProofBytes += b.ProofBytes
-	a.Certificates += b.Certificates
-	a.SubsumedClauses += b.SubsumedClauses
-	a.StrengthenedClauses += b.StrengthenedClauses
-	a.VivifiedClauses += b.VivifiedClauses
-	a.EliminatedVars += b.EliminatedVars
-	a.Races += b.Races
-	a.RaceRacerWins += b.RaceRacerWins
-	a.RaceTokens += b.RaceTokens
-	a.RaceWastedConflicts += b.RaceWastedConflicts
-	a.RaceWastedProps += b.RaceWastedProps
-	a.CubeEscalations += b.CubeEscalations
-	a.CubesGenerated += b.CubesGenerated
-	a.CubesRefuted += b.CubesRefuted
-	a.CubesSat += b.CubesSat
-	a.CubeSteals += b.CubeSteals
+	m := telemetry.NewMetrics()
+	m.MergeSnapshot(dst.Counters, dst.Hists)
+	m.MergeSnapshot(src.Counters, src.Hists)
+	dst.Counters, dst.Hists = m.Snapshot()
 }
 
 // Validate submits one batch and consumes the streaming response.

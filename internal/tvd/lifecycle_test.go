@@ -3,17 +3,19 @@ package tvd
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/harness"
 	"repro/internal/proof"
+	"repro/internal/smt"
 	"repro/internal/store"
 	"repro/internal/telemetry"
+	"repro/internal/tv"
 )
 
 // entryFileFor locates the raw on-disk entry file for a row's content
@@ -311,58 +313,6 @@ func TestDrainAdmissionRace(t *testing.T) {
 	}
 }
 
-// TestMergeStatsCoversEverySMTField sets every numeric field of
-// StatsJSON.SMT to a distinct value and checks mergeStats carries each
-// one. Adding a field to SMTStatsJSON without a merge line in client.go
-// (or a mapping in summary.go — same family of bug) fails this test by
-// construction.
-func TestMergeStatsCoversEverySMTField(t *testing.T) {
-	var src harness.StatsJSON
-	sv := reflect.ValueOf(&src.SMT).Elem()
-	st := sv.Type()
-	for i := 0; i < sv.NumField(); i++ {
-		switch f := sv.Field(i); f.Kind() {
-		case reflect.Int64:
-			f.SetInt(int64(1000 + i))
-		case reflect.Float64:
-			f.SetFloat(float64(1000 + i))
-		default:
-			t.Fatalf("SMTStatsJSON.%s has kind %s — teach this test (and mergeStats) about it",
-				st.Field(i).Name, f.Kind())
-		}
-	}
-	dst := &harness.StatsJSON{Classes: map[string]int{}}
-	mergeStats(dst, &src)
-	dv := reflect.ValueOf(dst.SMT)
-	wv := reflect.ValueOf(src.SMT)
-	for i := 0; i < dv.NumField(); i++ {
-		if !reflect.DeepEqual(dv.Field(i).Interface(), wv.Field(i).Interface()) {
-			t.Errorf("mergeStats drops SMTStatsJSON.%s: got %v, want %v — add its merge line in client.go",
-				st.Field(i).Name, dv.Field(i).Interface(), wv.Field(i).Interface())
-		}
-	}
-	// Merging a second chunk must sum, not overwrite.
-	mergeStats(dst, &src)
-	dv = reflect.ValueOf(dst.SMT)
-	for i := 0; i < dv.NumField(); i++ {
-		var want any
-		switch f := wv.Field(i); f.Kind() {
-		case reflect.Int64:
-			want = f.Int() * 2
-			if dv.Field(i).Int() != want {
-				t.Errorf("SMTStatsJSON.%s after two chunks: got %d, want %d (assignment instead of +=?)",
-					st.Field(i).Name, dv.Field(i).Int(), want)
-			}
-		case reflect.Float64:
-			want = f.Float() * 2
-			if dv.Field(i).Float() != want {
-				t.Errorf("SMTStatsJSON.%s after two chunks: got %v, want %v",
-					st.Field(i).Name, dv.Field(i).Float(), want)
-			}
-		}
-	}
-}
-
 // TestChunkedTraceLint: a traced ValidateAll over multiple batches
 // yields one merged trace with globally unique, properly nested span
 // IDs — the concatenation re-bases every batch's IDs. Streamed row
@@ -397,38 +347,55 @@ func TestChunkedTraceLint(t *testing.T) {
 	}
 }
 
-// TestMergeStatsChunkParity: merging two half-batches equals the
-// one-batch totals on every summed field, cube/race statistics
-// included.
+// TestMergeStatsChunkParity: merging the wire form of two half-batches
+// marshals byte-identically to the one-batch StatsJSON — headline
+// fields, every counter (solver totals included), and every histogram,
+// so quantiles survive chunking.
 func TestMergeStatsChunkParity(t *testing.T) {
-	mk := func(scale int64) *harness.StatsJSON {
-		s := &harness.StatsJSON{
-			Functions: int(scale), WallSeconds: float64(scale), CPUSeconds: float64(2 * scale),
-			Classes:   map[string]int{"Succeeded": int(scale)},
-			Certified: int(scale), CertFailed: 0,
-			Counters: map[string]int64{"tvd.jobs": scale},
+	rng := rand.New(rand.NewSource(3))
+	whole := telemetry.NewMetrics()
+	chunks := [2]*telemetry.Metrics{telemetry.NewMetrics(), telemetry.NewMetrics()}
+	for i := 0; i < 400; i++ {
+		m := chunks[i%2]
+		d := time.Duration(rng.Int63n(int64(time.Second)))
+		alloc := rng.Int63n(1 << 20)
+		st := smt.Stats{Queries: rng.Int63n(50), SATConflicts: rng.Int63n(1e4),
+			CubesRefuted: rng.Int63n(4), SolveDuration: d}
+		for _, r := range []*telemetry.Metrics{whole, m} {
+			r.Observe("smt.query", d)
+			r.ObserveVal("mem.check", alloc)
+			r.Add("tvd.jobs", 1)
+			st.Record(r)
 		}
-		sv := reflect.ValueOf(&s.SMT).Elem()
-		for i := 0; i < sv.NumField(); i++ {
-			switch f := sv.Field(i); f.Kind() {
-			case reflect.Int64:
-				f.SetInt(scale * int64(i+1))
-			case reflect.Float64:
-				f.SetFloat(float64(scale * int64(i+1)))
-			}
+	}
+	mk := func(scale int, m *telemetry.Metrics) *harness.StatsJSON {
+		sum := &harness.Summary{Total: scale, Workers: 2, Metrics: m,
+			WallTime: time.Duration(scale) * time.Second, CPUTime: time.Duration(2*scale) * time.Second}
+		for i := 0; i < scale; i++ {
+			sum.Rows = append(sum.Rows, harness.ResultRow{Class: tv.ClassSucceeded, Certified: true})
 		}
-		return s
+		sum.Certified = scale
+		return sum.StatsJSON()
 	}
-	chunked := &harness.StatsJSON{Classes: map[string]int{}}
-	mergeStats(chunked, mk(3))
-	mergeStats(chunked, mk(4))
-	whole := mk(7)
-	if !reflect.DeepEqual(chunked.SMT, whole.SMT) {
-		t.Fatalf("chunked SMT stats diverge from unchunked:\nchunked: %+v\nwhole:   %+v", chunked.SMT, whole.SMT)
+	merged := &harness.StatsJSON{Classes: map[string]int{}}
+	for i, c := range []*harness.StatsJSON{mk(3, chunks[0]), mk(4, chunks[1])} {
+		// Each chunk crosses the wire before it is merged.
+		b, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wire harness.StatsJSON
+		if err := json.Unmarshal(b, &wire); err != nil {
+			t.Fatalf("chunk %d: %v", i, err)
+		}
+		mergeStats(merged, &wire)
 	}
-	if chunked.Functions != whole.Functions || chunked.Certified != whole.Certified ||
-		chunked.Classes["Succeeded"] != whole.Classes["Succeeded"] ||
-		chunked.Counters["tvd.jobs"] != whole.Counters["tvd.jobs"] {
-		t.Fatalf("chunked batch-level stats diverge: %+v vs %+v", chunked, whole)
+	got, _ := json.Marshal(merged)
+	want, _ := json.Marshal(mk(7, whole))
+	if !bytes.Equal(got, want) {
+		t.Fatalf("chunked stats diverge from unchunked:\nchunked: %s\nwhole:   %s", got, want)
+	}
+	if !bytes.Contains(want, []byte(`"smt.query":{"count":400`)) {
+		t.Fatalf("stats carry no smt.query histogram: %s", want)
 	}
 }

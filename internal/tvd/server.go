@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -227,30 +226,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleMetricsz(w http.ResponseWriter, _ *http.Request) {
-	counters, hists := s.metrics.Snapshot()
 	snap := MetricsSnapshot{
-		Counters: counters,
-		Hists:    map[string]*harness.LatencyJSON{},
 		StoreLen: -1,
 		Draining: s.draining.Load(),
 		Workers:  s.cfg.Workers,
 		MaxBatch: s.MaxBatch(),
 	}
-	names := make([]string, 0, len(hists))
-	for name := range hists {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		h := hists[name]
-		snap.Hists[name] = &harness.LatencyJSON{
-			Count: h.Count,
-			P50NS: int64(h.Quantile(0.5)),
-			P90NS: int64(h.Quantile(0.9)),
-			P99NS: int64(h.Quantile(0.99)),
-			MaxNS: h.Max,
-		}
-	}
+	snap.Counters, snap.Hists = s.metrics.Snapshot()
 	if s.store != nil {
 		snap.StoreLen = s.store.Len()
 		snap.StoreBytes = s.store.Usage()
@@ -414,7 +396,6 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	batchM := telemetry.NewMetrics()
 	result := &BatchResult{Rows: make([]RowJSON, len(req.Jobs))}
-	var stats smt.Stats
 	var cpu time.Duration
 
 	streamRow := func(row *RowJSON) {
@@ -496,7 +477,6 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 			batchM.Observe("tvd.queue", d)
 		}
 		batchM.Merge(res.Metrics)
-		stats.Add(res.Stats)
 		cpu += res.Row.Duration
 		release(1)
 		outstanding--
@@ -509,7 +489,6 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 		Workers:  s.pool.Workers(),
 		WallTime: time.Since(epoch),
 		CPUTime:  cpu,
-		SMTStats: stats,
 		Metrics:  batchM,
 	}
 	for _, row := range result.Rows {

@@ -10,10 +10,10 @@ import (
 )
 
 // Summary reconstructs a harness.Summary from a batch result, so a
-// remote run renders through the exact same Figure6/Figure7/RenderStats
-// code as a local one. Latency histograms do not cross the wire (only
-// their quantiles do, in Stats.Latency), so Figure7 falls back to its
-// per-row duration path and RenderStats omits the latency line.
+// remote run renders through the exact same Figure6/Figure7/RenderStats/
+// PhaseReport code as a local one: the registry is rebuilt from the
+// wire's counters and exact histograms, and the solver totals are read
+// back from it.
 func (r *BatchResult) Summary() *harness.Summary {
 	sum := &harness.Summary{
 		Total:   len(r.Rows),
@@ -28,6 +28,12 @@ func (r *BatchResult) Summary() *harness.Summary {
 			Duration:  time.Duration(row.DurationNS),
 			Certified: row.Certified,
 		})
+		// A store hit never ran on the daemon, so no fn.duration was
+		// observed for it; its row duration joins here, keeping Figure 7
+		// over every row.
+		if row.Cached {
+			sum.Metrics.Observe("fn.duration", time.Duration(row.DurationNS))
+		}
 	}
 	if s := r.Stats; s != nil {
 		sum.Workers = s.Workers
@@ -35,36 +41,8 @@ func (r *BatchResult) Summary() *harness.Summary {
 		sum.CPUTime = time.Duration(s.CPUSeconds * float64(time.Second))
 		sum.Certified = s.Certified
 		sum.CertFailed = s.CertFailed
-		sum.SMTStats = smt.Stats{
-			Queries:       s.SMT.Queries,
-			FastQueries:   s.SMT.FastQueries,
-			CacheHits:     s.SMT.CacheHits,
-			CacheMisses:   s.SMT.CacheMisses,
-			CacheBytes:    s.SMT.CacheBytes,
-			SATConflicts:  s.SMT.Conflicts,
-			SATDecisions:  s.SMT.Decisions,
-			CNFClauses:    s.SMT.Clauses,
-			SolveDuration: time.Duration(s.SMT.SolveSeconds * float64(time.Second)),
-			ProofBytes:    s.SMT.ProofBytes,
-			Certificates:  s.SMT.Certificates,
-
-			SubsumedClauses:     s.SMT.SubsumedClauses,
-			StrengthenedClauses: s.SMT.StrengthenedClauses,
-			VivifiedClauses:     s.SMT.VivifiedClauses,
-			EliminatedVars:      s.SMT.EliminatedVars,
-
-			Races:               s.SMT.Races,
-			RaceRacerWins:       s.SMT.RaceRacerWins,
-			RaceTokens:          s.SMT.RaceTokens,
-			RaceWastedConflicts: s.SMT.RaceWastedConflicts,
-			RaceWastedProps:     s.SMT.RaceWastedProps,
-
-			CubeEscalations: s.SMT.CubeEscalations,
-			CubesGenerated:  s.SMT.CubesGenerated,
-			CubesRefuted:    s.SMT.CubesRefuted,
-			CubesSat:        s.SMT.CubesSat,
-			CubeSteals:      s.SMT.CubeSteals,
-		}
+		sum.Metrics.MergeSnapshot(s.Counters, s.Hists)
 	}
+	sum.SMTStats = smt.StatsOf(sum.Metrics)
 	return sum
 }

@@ -140,8 +140,10 @@ type ErrorJSON struct {
 
 // MetricsSnapshot is the body of GET /metricsz.
 type MetricsSnapshot struct {
-	Counters map[string]int64                `json:"counters"`
-	Hists    map[string]*harness.LatencyJSON `json:"hists"`
+	// Counters and Hists are the daemon-lifetime telemetry registry;
+	// histograms use their exact encoding (telemetry.Histogram).
+	Counters map[string]int64               `json:"counters"`
+	Hists    map[string]telemetry.Histogram `json:"hists"`
 	// StoreLen is the number of entries in the result store (-1 without
 	// a store). StoreBytes is the total entry-payload size and
 	// StoreMaxBytes the configured GC budget (0 = unbounded);
