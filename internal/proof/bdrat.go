@@ -5,14 +5,15 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"sort"
 )
 
-// Binary DRAT container (schema 2). The file starts with an uncompressed
-// four-byte magic "BDRT" plus one version byte; everything after the
-// header is one DEFLATE stream of records:
+// Binary DRAT container (schema 2, container version 3). The file starts
+// with an uncompressed four-byte magic "BDRT" plus one version byte;
+// everything after the header is one DEFLATE stream of records:
 //
 //	's' uvarint(index)          switch the current session. The first
 //	                            record with an index opens that session;
@@ -26,6 +27,14 @@ import (
 //	                            first, flushed lazily) writes anything.
 //	'i'/'l'/'d' uvarint(n) lits step of the current session (input, learnt,
 //	                            deleted clause), n delta-coded literals.
+//	'c' crc32                   trailer, the last record: the big-endian
+//	                            CRC-32 (IEEE) of every inflated byte before
+//	                            it, its own 'c' included.
+//
+// DEFLATE carries no checksum, so without the trailer a flipped body byte
+// can decode into a well-formed trace with altered input clauses — which
+// the checker would install as axioms. Version 2 streams lack the
+// trailer and are rejected.
 //
 // Literals are sorted by variable (positive polarity first on ties) and
 // encoded as uvarint((var - prevVar) << 1 | signBit). Sorting is sound —
@@ -37,7 +46,9 @@ const (
 	binDratMagic = "BDRT"
 	// BinDratVersion is the on-disk version byte; readers reject files
 	// whose version they do not understand rather than misparse them.
-	BinDratVersion = 2
+	BinDratVersion = 3
+	// recTrailer tags the closing CRC-32 record.
+	recTrailer = 'c'
 )
 
 const maxClauseLen = 1 << 24 // decoder sanity bound on uvarint clause lengths
@@ -52,6 +63,7 @@ type BinWriter struct {
 	scratch []int32 // sorted-literal scratch (callers keep their slices)
 	cur     int     // current session, -1 before the first record
 	seen    int     // sessions opened so far
+	crc     uint32  // CRC-32 of the records written so far
 	err     error
 }
 
@@ -97,8 +109,7 @@ func (bw *BinWriter) Step(sess int, op byte, lits []int32) error {
 			bw.seen = sess + 1
 		}
 		bw.rec = appendUvarint(append(bw.rec[:0], 's'), uint64(sess))
-		if _, err := bw.fw.Write(bw.rec); err != nil {
-			bw.err = err
+		if err := bw.write(bw.rec); err != nil {
 			return err
 		}
 		bw.cur = sess
@@ -115,11 +126,16 @@ func (bw *BinWriter) Step(sess int, op byte, lits []int32) error {
 		bw.rec = appendUvarint(bw.rec, uint64(v-prev)<<1|sign)
 		prev = v
 	}
-	if _, err := bw.fw.Write(bw.rec); err != nil {
+	return bw.write(bw.rec)
+}
+
+// write feeds one record to the compressor and the running CRC.
+func (bw *BinWriter) write(rec []byte) error {
+	bw.crc = crc32.Update(bw.crc, crc32.IEEETable, rec)
+	if _, err := bw.fw.Write(rec); err != nil {
 		bw.err = err
-		return err
 	}
-	return nil
+	return bw.err
 }
 
 // Flush forces buffered records through the compressor to the underlying
@@ -134,16 +150,20 @@ func (bw *BinWriter) Flush() error {
 	return bw.err
 }
 
-// Close terminates the DEFLATE stream. The underlying writer is not
-// closed.
+// Close writes the CRC trailer and terminates the DEFLATE stream. The
+// underlying writer is not closed.
 func (bw *BinWriter) Close() error {
 	if bw.err != nil {
 		return bw.err
 	}
-	if bw.fw != nil {
-		if err := bw.fw.Close(); err != nil {
-			bw.err = err
-		}
+	bw.crc = crc32.Update(bw.crc, crc32.IEEETable, []byte{recTrailer})
+	trailer := binary.BigEndian.AppendUint32([]byte{recTrailer}, bw.crc)
+	if _, err := bw.fw.Write(trailer); err != nil {
+		bw.err = err
+		return err
+	}
+	if err := bw.fw.Close(); err != nil {
+		bw.err = err
 	}
 	return bw.err
 }
@@ -175,8 +195,11 @@ func appendUvarint(b []byte, v uint64) []byte {
 
 // WalkDrat streams the steps of a binary .drat file (the container
 // above). Anything without the container header — in particular the
-// retired schema-1 text traces — is rejected. The literal slice passed
-// to fn is reused between calls and must not be retained.
+// retired schema-1 text traces — is rejected. Steps reach fn before the
+// trailer is read, so a stream whose CRC trailer is missing or does not
+// match fails only at its end: callers must treat the error as rejecting
+// every step they were given. The literal slice passed to fn is reused
+// between calls and must not be retained.
 func WalkDrat(r io.Reader, fn func(sess int, op byte, lits []int32) error) error {
 	br := bufio.NewReaderSize(r, 1<<16)
 	head, _ := br.Peek(len(binDratMagic) + 1)
@@ -190,18 +213,35 @@ func WalkDrat(r io.Reader, fn func(sess int, op byte, lits []int32) error) error
 	br.Discard(len(binDratMagic) + 1)
 	fr := flate.NewReader(br)
 	defer fr.Close()
-	rd := bufio.NewReaderSize(fr, 1<<15)
+	rd := &recordReader{r: fr, buf: make([]byte, 1<<15)}
 	cur := -1
 	var lits []int32
 	for {
 		b, err := rd.ReadByte()
 		if err == io.EOF {
-			return nil
+			return fmt.Errorf("proof: binary drat: missing CRC trailer")
 		}
 		if err != nil {
 			return fmt.Errorf("proof: binary drat: %v", err)
 		}
 		switch b {
+		case recTrailer:
+			want := rd.sum()
+			var got uint32
+			for i := 0; i < 4; i++ {
+				c, err := rd.ReadByte()
+				if err != nil {
+					return fmt.Errorf("proof: binary drat: truncated CRC trailer")
+				}
+				got = got<<8 | uint32(c)
+			}
+			if got != want {
+				return fmt.Errorf("proof: binary drat: CRC mismatch")
+			}
+			if _, err := rd.ReadByte(); err != io.EOF {
+				return fmt.Errorf("proof: binary drat: data after CRC trailer")
+			}
+			return nil
 		case 's':
 			u, err := binary.ReadUvarint(rd)
 			if err != nil {
@@ -253,4 +293,34 @@ func WalkDrat(r io.Reader, fn func(sess int, op byte, lits []int32) error) error
 			return fmt.Errorf("proof: binary drat: unknown record 0x%02x", b)
 		}
 	}
+}
+
+// recordReader reads the inflated record stream and keeps the CRC-32 of
+// the bytes consumed so far, folding each buffer in as it is used up so
+// the checksum costs one bulk update per refill.
+type recordReader struct {
+	r        io.Reader
+	buf      []byte
+	pos, end int    // buf[pos:end] is unread
+	crc      uint32 // CRC of the bytes consumed before buf
+}
+
+func (rr *recordReader) ReadByte() (byte, error) {
+	if rr.pos == rr.end {
+		rr.crc = crc32.Update(rr.crc, crc32.IEEETable, rr.buf[:rr.end])
+		rr.pos, rr.end = 0, 0
+		n, err := io.ReadAtLeast(rr.r, rr.buf, 1)
+		if n == 0 {
+			return 0, err
+		}
+		rr.end = n
+	}
+	b := rr.buf[rr.pos]
+	rr.pos++
+	return b, nil
+}
+
+// sum returns the CRC-32 of every byte consumed so far.
+func (rr *recordReader) sum() uint32 {
+	return crc32.Update(rr.crc, crc32.IEEETable, rr.buf[:rr.pos])
 }

@@ -104,7 +104,8 @@ func copyProofDir(t *testing.T, src string) string {
 
 // TestEndToEndProofsVerify is the pipeline acceptance test: corpus run →
 // emitted certificates → CheckDir with zero rejections, and the run must
-// actually exercise the interesting certificate kinds.
+// actually exercise the interesting certificate kinds and Sat-model
+// reuse.
 func TestEndToEndProofsVerify(t *testing.T) {
 	dir, sum := emitProofDir(t)
 	report, err := proof.CheckDir(dir)
@@ -127,6 +128,11 @@ func TestEndToEndProofsVerify(t *testing.T) {
 	}
 	if report.Queries != int(sum.SMTStats.Certificates) {
 		t.Errorf("checker saw %d query certs, solver recorded %d", report.Queries, sum.SMTStats.Certificates)
+	}
+	// Sat answers reused from a recent query's model are certified as
+	// ordinary models; the zero-rejection check above covers them.
+	if sum.SMTStats.ModelHits == 0 {
+		t.Error("no query was answered by a reused Sat model — the run does not exercise model reuse")
 	}
 }
 
@@ -212,30 +218,40 @@ func decodeDrat(data []byte) []dratStep {
 // TestTamperedDRATClauseRejected flips a literal inside a learnt clause
 // of a binary DRAT trace and re-encodes it — a well-formed container
 // whose RUP obligation no longer holds; the replay must reject the
-// session and the certificates pointing into it.
+// session and the certificates pointing into it. Not every flip breaks
+// RUP (an inprocessing step may learn a clause the database already
+// implies with either polarity), so the fixture is the first learnt step
+// whose flipped clause is not RUP where it stands, found by replaying
+// the trace prefix as the checker does.
 func TestTamperedDRATClauseRejected(t *testing.T) {
 	src, _ := emitProofDir(t)
 	dir := copyProofDir(t, src)
-	path, data := findFile(t, dir, proof.DratSuffix, func(b []byte) bool {
-		for _, s := range decodeDrat(b) {
-			if s.op == proof.OpLearn && len(s.lits) > 0 {
-				return true
-			}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var path string
+	var steps []dratStep
+	at := -1
+	for _, e := range entries {
+		if !strings.HasSuffix(e.Name(), proof.DratSuffix) {
+			continue
 		}
-		return false
-	})
-	steps := decodeDrat(data)
-	tampered := false
-	for _, s := range steps {
-		if s.op == proof.OpLearn && len(s.lits) > 0 {
-			s.lits[0] = -s.lits[0]
-			tampered = true
+		path = filepath.Join(dir, e.Name())
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps = decodeDrat(data)
+		finals := dratFinals(t, strings.TrimSuffix(path, proof.DratSuffix)+proof.CertsSuffix)
+		if at = nonRUPFlip(t, steps, finals); at >= 0 {
 			break
 		}
 	}
-	if !tampered {
-		t.Fatal("no learnt clause found to tamper with")
+	if at < 0 {
+		t.Fatal("no learnt step whose flipped clause is not RUP in any trace")
 	}
+	steps[at].lits[0] = -steps[at].lits[0]
 	var buf bytes.Buffer
 	bw := proof.NewBinWriter(&buf)
 	for _, s := range steps {
@@ -254,8 +270,88 @@ func TestTamperedDRATClauseRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(report.Rejections) == 0 {
-		t.Fatalf("tampered DRAT clause in %s was not rejected", filepath.Base(path))
+		t.Fatalf("tampered DRAT clause (step %d) in %s was not rejected", at, filepath.Base(path))
 	}
+}
+
+// dratCheckpoint is one Unsat obligation: after pos steps of session
+// sess the checker proves final and installs it as a lemma.
+type dratCheckpoint struct {
+	sess, pos int
+	final     []int32
+}
+
+// dratFinals reads the DRAT obligations of a certs file, in file order.
+func dratFinals(t *testing.T, certsPath string) []dratCheckpoint {
+	t.Helper()
+	data, err := os.ReadFile(certsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cps []dratCheckpoint
+	for _, raw := range certValues(inflate(data)) {
+		var q proof.QueryCert
+		if json.Unmarshal(raw, &q) != nil || q.Kind != proof.KindDRAT {
+			continue
+		}
+		cp := dratCheckpoint{sess: q.Sess, pos: q.Pos}
+		for _, l := range q.Final {
+			cp.final = append(cp.final, int32(l))
+		}
+		cps = append(cps, cp)
+	}
+	return cps
+}
+
+// nonRUPFlip returns the index of the first learnt step of steps whose
+// clause, with its first literal negated, is not RUP against the clauses
+// live at that step, or -1. Each candidate replays its session's prefix
+// into a fresh checker — input, learnt and deleted steps, plus every
+// obligation discharged on the way — exactly as the directory checker
+// does, so a probe never leaves an extra clause behind.
+func nonRUPFlip(t *testing.T, steps []dratStep, finals []dratCheckpoint) int {
+	t.Helper()
+	for i, c := range steps {
+		if c.op != proof.OpLearn || len(c.lits) == 0 {
+			continue
+		}
+		ck := proof.NewSessionChecker()
+		pos := 0
+		discharge := func() {
+			for _, cp := range finals {
+				if cp.sess == c.sess && cp.pos == pos {
+					if err := ck.CheckFinal(cp.final); err != nil {
+						t.Fatalf("untampered obligation at session %d position %d: %v", cp.sess, pos, err)
+					}
+				}
+			}
+		}
+		for _, s := range steps[:i] {
+			if s.sess != c.sess {
+				continue
+			}
+			discharge()
+			var err error
+			switch s.op {
+			case proof.OpInput:
+				err = ck.AddInput(s.lits)
+			case proof.OpLearn:
+				err = ck.AddLearnt(s.lits)
+			case proof.OpDelete:
+				err = ck.Delete(s.lits)
+			}
+			if err != nil {
+				t.Fatalf("untampered step in session %d: %v", s.sess, err)
+			}
+			pos++
+		}
+		discharge()
+		flipped := append([]int32{-c.lits[0]}, c.lits[1:]...)
+		if ck.AddLearnt(flipped) != nil {
+			return i
+		}
+	}
+	return -1
 }
 
 // TestTamperedDRATByteFlipRejected flips a raw byte inside the

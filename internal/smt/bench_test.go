@@ -46,3 +46,30 @@ func BenchmarkCheckSatIncremental(b *testing.B) {
 		b.ReportMetric(float64(s.Stats.SATConflicts), "conflicts/op")
 	}
 }
+
+// BenchmarkCheckSatPathChain drives Sat-model reuse on the fixture of
+// TestModelReuseMatchesFresh: one incremental solver answers a seeded
+// path chain (growing conjunctions over variables and memory reads),
+// where most Sat queries are satisfied by a recent model. The chain is
+// built once; each iteration is a fresh solver over the same terms.
+func BenchmarkCheckSatPathChain(b *testing.B) {
+	ctx := NewContext()
+	chain := pathChain(ctx, rand.New(rand.NewSource(2021)), 24)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := NewSolver(ctx)
+		s.Incremental = true
+		s.Inprocess = true
+		for _, f := range chain {
+			if _, _, err := s.CheckSat(f); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if s.Stats.ModelHits == 0 {
+			b.Fatal("no query was answered by a reused model")
+		}
+		b.ReportMetric(float64(s.Stats.ModelHits), "model_hits/op")
+		b.ReportMetric(float64(s.Stats.SATConflicts), "conflicts/op")
+	}
+}

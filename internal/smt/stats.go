@@ -16,6 +16,7 @@ type Stats struct {
 	FastQueries   int64 // decided by simplification alone, no SAT call
 	CacheHits     int64 // decided by the shared VC cache, no SAT call
 	CacheMisses   int64 // cache consulted but the query had to be solved
+	ModelHits     int64 // decided Sat by a recent query's model, no SAT call
 	CacheBytes    int64 // canonical serialization bytes hashed for cache keys
 	SATConflicts  int64
 	SATDecisions  int64
@@ -63,6 +64,7 @@ var statFields = [...]struct {
 	{"smt.fast_queries", func(s *Stats) *int64 { return &s.FastQueries }},
 	{"smt.cache_hits", func(s *Stats) *int64 { return &s.CacheHits }},
 	{"smt.cache_misses", func(s *Stats) *int64 { return &s.CacheMisses }},
+	{"smt.model_hits", func(s *Stats) *int64 { return &s.ModelHits }},
 	{"smt.cache_bytes", func(s *Stats) *int64 { return &s.CacheBytes }},
 	{"sat.conflicts", func(s *Stats) *int64 { return &s.SATConflicts }},
 	{"sat.decisions", func(s *Stats) *int64 { return &s.SATDecisions }},

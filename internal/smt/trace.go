@@ -32,6 +32,9 @@ func (s *Solver) finishQuery(sp *telemetry.Span, start time.Time, before Stats, 
 	if s.Stats.FastQueries > before.FastQueries {
 		sp.SetAttr("fast", true)
 	}
+	if s.Stats.ModelHits > before.ModelHits {
+		sp.SetAttr("model_hit", true)
+	}
 	if s.Stats.Certificates > before.Certificates && s.lastCert != "" {
 		sp.SetAttr("cert", s.lastCert)
 	}

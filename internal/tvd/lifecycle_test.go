@@ -248,6 +248,84 @@ func TestDaemonBackgroundScrub(t *testing.T) {
 	}
 }
 
+// TestScrubRetiresOldDratVersion: an entry whose trace predates the
+// current binary DRAT container version (a version-2 trace, without
+// the CRC trailer) is intact as far as the store's CRCs go, so Get
+// serves it; end-to-end scrub re-verification rejects the trace and
+// quarantines the entry, after which the key is a miss and revalidates
+// to the same class with a current trace.
+func TestScrubRetiresOldDratVersion(t *testing.T) {
+	s, hs := newTestServer(t, ServerConfig{Workers: 2, StoreDir: t.TempDir(), WorkDir: t.TempDir()})
+	defer s.Close()
+	c := NewClient(hs.URL)
+	req := testBatch(testCorpus(4))
+	cold, err := c.Validate(req, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old store.Key
+	oldIndex := -1
+	for i, row := range cold.Rows {
+		k, err := store.KeyFromHex(row.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := s.store.Peek(k)
+		if err != nil {
+			continue
+		}
+		for j, a := range e.Artifacts {
+			if strings.HasSuffix(a.Name, proof.DratSuffix) && len(a.Data) > 4 {
+				e.Artifacts[j].Data[4] = 2 // the version byte
+				old, oldIndex = k, i
+			}
+		}
+		if oldIndex >= 0 {
+			if err := s.store.Put(k, e); err != nil {
+				t.Fatal(err)
+			}
+			break
+		}
+	}
+	if oldIndex < 0 {
+		t.Fatal("no stored entry carries a DRAT trace")
+	}
+	if _, ok := s.store.Get(old); !ok {
+		t.Fatal("an old-version trace must pass the store's own CRC check")
+	}
+	if err := store.VerifyEntry(mustPeek(t, s.store, old)); err == nil ||
+		!strings.Contains(err.Error(), "binary drat version 2") {
+		t.Fatalf("VerifyEntry of a version-2 trace: %v, want a version rejection", err)
+	}
+	st := s.store.ScrubOnce(store.ScrubConfig{Fraction: 1})
+	if st.Quarantined != 1 || st.BadVersion != 0 {
+		t.Fatalf("ScrubOnce over a version-2 trace: %+v, want 1 quarantined", st)
+	}
+	if _, ok := s.store.Get(old); ok {
+		t.Fatal("quarantined old-version entry still served")
+	}
+	warm, err := c.Validate(req, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Rows[oldIndex].Cached || warm.Rows[oldIndex].Class != cold.Rows[oldIndex].Class {
+		t.Fatalf("row %d after quarantine: cached=%v class %q, want a revalidated %q",
+			oldIndex, warm.Rows[oldIndex].Cached, warm.Rows[oldIndex].Class, cold.Rows[oldIndex].Class)
+	}
+	if err := store.VerifyEntry(mustPeek(t, s.store, old)); err != nil {
+		t.Fatalf("revalidated entry does not verify: %v", err)
+	}
+}
+
+func mustPeek(t *testing.T, st *store.Store, k store.Key) *store.Entry {
+	t.Helper()
+	e, err := st.Peek(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 // TestProofDirFailure: when per-job proof directories cannot be
 // created, the batch still validates (uncertified) and every row
 // surfaces the creation error in proof_err — the operator-visible

@@ -163,9 +163,11 @@ type MetricsSnapshot struct {
 }
 
 // keyVersion stamps the content-address derivation; bump it whenever
-// the validator's semantics change incompatibly (old entries then
-// simply miss).
-const keyVersion = "tvd/v1"
+// the validator's semantics or its certificate formats change
+// incompatibly (old entries then simply miss). v2: binary DRAT traces
+// gained a CRC trailer (container version 3), which the checker
+// requires, so v1 entries could no longer be re-verified.
+const keyVersion = "tvd/v2"
 
 // JobKey derives the content address of one job from its semantic
 // inputs: the pipeline version, the function, the module text, the ISel
