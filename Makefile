@@ -33,10 +33,11 @@ perfbench:
 	go -C perfbench vet ./... && go -C perfbench test ./...
 
 # microbench runs each per-layer microbenchmark (SAT search, incremental
-# SMT) once, so a change that breaks one fails tier 1. For numbers, raise
-# -benchtime and compare allocs/op and ns/op across commits.
+# SMT, one corpus function through the whole tv pipeline) once, so a
+# change that breaks one fails tier 1. For numbers, raise -benchtime and
+# compare allocs/op and ns/op across commits.
 microbench:
-	go test -run '^$$' -bench . -benchtime 1x ./internal/sat ./internal/smt
+	go test -run '^$$' -bench . -benchtime 1x ./internal/sat ./internal/smt ./internal/tv
 
 # bench reproduces the Figure 6 comparisons — cache on/off, proof
 # emission on/off, tracing on/off, inprocessing/portfolio ablations,

@@ -174,6 +174,9 @@ func (ck *Checker) Run(points []*SyncPoint) (*Report, error) {
 		if sp != nil {
 			ck.solver.TraceParent = sp.ID()
 		}
+		// Each point starts from fresh symbolic variables, so its queries
+		// share nothing with the previous point's encodings.
+		ck.solver.ResetIncremental()
 		fails, err := ck.checkPoint(rel, p)
 		ck.solver.TraceParent = saved
 		if sp != nil {

@@ -428,9 +428,9 @@ func (s *Summary) Speedup() float64 {
 func (s *Summary) RenderStats(w io.Writer) {
 	fmt.Fprintf(w, "Harness: %d functions, %d workers, wall %.2fs, cpu %.2fs (speedup %.2fx)\n",
 		s.Total, s.Workers, s.WallTime.Seconds(), s.CPUTime.Seconds(), s.Speedup())
-	fmt.Fprintf(w, "SMT: %d queries (%d fast, %d model-reuse), %d conflicts, %d decisions, %d clauses, solve time %.2fs\n",
-		s.SMTStats.Queries, s.SMTStats.FastQueries, s.SMTStats.ModelHits, s.SMTStats.SATConflicts,
-		s.SMTStats.SATDecisions, s.SMTStats.CNFClauses, s.SMTStats.SolveDuration.Seconds())
+	fmt.Fprintf(w, "SMT: %d queries (%d fast, %d model-reuse), %d SAT instances, %d conflicts, %d decisions, %d clauses, solve time %.2fs\n",
+		s.SMTStats.Queries, s.SMTStats.FastQueries, s.SMTStats.ModelHits, s.SMTStats.Instances,
+		s.SMTStats.SATConflicts, s.SMTStats.SATDecisions, s.SMTStats.CNFClauses, s.SMTStats.SolveDuration.Seconds())
 	if looked := s.SMTStats.CacheHits + s.SMTStats.CacheMisses; looked > 0 {
 		fmt.Fprintf(w, "VC cache: %d hits / %d lookups (%.1f%% hit rate), %d canonical bytes hashed\n",
 			s.SMTStats.CacheHits, looked,

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/proof"
 )
 
 // TestIncrementalMatchesCold: an incremental solver answering a SEQUENCE
@@ -105,5 +107,87 @@ func TestIncrementalModelValidity(t *testing.T) {
 	res, _, err = s.CheckSat(ctx.Eq(x, ctx.BV(1, 16)))
 	if err != nil || res != ResultSat {
 		t.Fatalf("post-unsat query: %v %v", res, err)
+	}
+}
+
+// TestResetIncrementalScopesInstance: two query groups over disjoint
+// variables, with ResetIncremental between them, the way the checker
+// runs two sync points. The second group's instance must hold only its
+// own encoding, every Unsat certificate of both proof sessions must
+// verify, and a model kept from the first group must still answer a
+// second-group query (its variables are unassigned there and read as
+// zero).
+func TestResetIncrementalScopesInstance(t *testing.T) {
+	ctx := NewContext()
+	rec, finish := newTestRecorder(t, "reset")
+	s := NewSolver(ctx)
+	s.Incremental = true
+	s.Inprocess = true
+	s.Recorder = rec
+	check := func(s *Solver, f *Term, want Result) {
+		t.Helper()
+		res, _, err := s.CheckSat(f)
+		if err != nil || res != want {
+			t.Fatalf("CheckSat(%v) = %v, %v; want %v", f, res, err, want)
+		}
+	}
+	x1, y1 := ctx.VarBV("x1", 16), ctx.VarBV("y1", 16)
+	check(s, ctx.AndB(ctx.Eq(ctx.Add(x1, y1), ctx.BV(300, 16)), ctx.Ult(x1, y1)), ResultSat)
+	check(s, ctx.AndB(ctx.Ult(x1, y1), ctx.Ult(y1, x1)), ResultUnsat)
+	first := s.incSAT
+	firstVars := first.NumVars()
+
+	s.ResetIncremental()
+	kept := append([]*Assign(nil), s.models...)
+	x2, y2 := ctx.VarBV("x2", 16), ctx.VarBV("y2", 16)
+	group2 := []struct {
+		f    *Term
+		want Result
+	}{
+		// x2 is unassigned in the first group's model, so it reads as 0.
+		{ctx.Ult(x2, ctx.BV(5, 16)), ResultSat},
+		{ctx.AndB(ctx.Eq(x2, ctx.BV(7, 16)), ctx.Ult(x2, y2)), ResultSat},
+		{ctx.AndB(ctx.Ult(x2, y2), ctx.Ult(y2, x2)), ResultUnsat},
+	}
+	hits := s.Stats.ModelHits
+	for _, q := range group2 {
+		check(s, q.f, q.want)
+	}
+	if s.Stats.ModelHits == hits {
+		t.Error("no second-group query was answered by a model kept from the first group")
+	}
+	if s.incSAT == first {
+		t.Fatal("ResetIncremental kept the first instance")
+	}
+	if s.Stats.Instances != 2 {
+		t.Errorf("Stats.Instances = %d, want 2", s.Stats.Instances)
+	}
+	for v := range s.incBlaster.bvMemo {
+		if v.Kind == KVarBV && (v.Name == "x1" || v.Name == "y1") {
+			t.Errorf("second instance encodes first-group variable %s", v.Name)
+		}
+	}
+	// A solver that never saw the first group, holding the same kept
+	// models, builds exactly the second instance.
+	fresh := NewSolver(ctx)
+	fresh.Incremental = true
+	fresh.Inprocess = true
+	fresh.models = kept
+	for _, q := range group2 {
+		check(fresh, q.f, q.want)
+	}
+	if got, want := s.incSAT.NumVars(), fresh.incSAT.NumVars(); got != want {
+		t.Errorf("second instance has %d variables, a fresh solver %d (first instance %d)", got, want, firstVars)
+	}
+
+	report, err := proof.CheckDir(finish())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range report.Rejections {
+		t.Errorf("rejection: %s", r)
+	}
+	if n := report.ByKind[proof.KindDRAT]; n != 2 {
+		t.Errorf("verified %d DRAT certificates, want one per session", n)
 	}
 }

@@ -58,6 +58,9 @@ type Solver struct {
 	// clauses carry over, the incremental solving the paper's §5.1 names
 	// as the missing piece of K's Z3 integration. Each query is solved
 	// under an activation assumption, so queries do not pollute each other.
+	// The instance lives until ResetIncremental; the checker resets it at
+	// every sync point, whose queries share no variable with another
+	// point's.
 	Incremental bool
 	// Cache, when non-nil, is consulted before solving and updated after:
 	// queries are keyed by their alpha-invariant CanonKey, so structurally
@@ -108,7 +111,11 @@ type Solver struct {
 	incReducer *arrayReducer
 	incSession *proof.Session
 	incFlushed int
-	canonMemo  map[*Term]CanonKey
+	// queryVars is the variable count of the SAT instance the current
+	// query was solved on (0 when it never reached the SAT layer),
+	// surfaced as the span attribute sat_vars.
+	queryVars int
+	canonMemo map[*Term]CanonKey
 	// models holds the models of the latest keptModels solved Sat
 	// queries, newest last; see reuseModel.
 	models []*Assign
@@ -137,10 +144,26 @@ func NewSolver(ctx *Context) *Solver {
 // Context returns the term context the solver operates on.
 func (s *Solver) Context() *Context { return s.ctx }
 
+// ResetIncremental drops the incremental SAT instance, its bit-blaster,
+// array reducer and proof session, so the next incremental query builds
+// a fresh instance in a fresh session. Call it where later queries share
+// no variable with earlier ones: the old encodings could only slow them
+// down. Solver-wide state survives: the kept Sat models, the canonical
+// key memo, the VC cache and Stats.
+func (s *Solver) ResetIncremental() {
+	s.incSAT, s.incBlaster, s.incReducer, s.incSession = nil, nil, nil, nil
+	s.incFlushed = 0
+}
+
 // CheckSat decides satisfiability of the Bool term f. On ResultSat the
 // returned Assign is a satisfying model for the free variables of f. It
 // may assign other variables too, and the solver keeps it to try on
-// later queries, so callers must not modify it.
+// later queries, so callers must not modify it. A kept model answers a
+// later query when the query evaluates to true under it; a variable the
+// model does not assign reads as zero (false for a Bool, zero bytes for
+// a memory), the rule proofcheck applies to model certificates too. So
+// a model found before ResetIncremental, or for a shorter path
+// condition, can still answer a query over variables it never saw.
 func (s *Solver) CheckSat(f *Term) (res Result, model *Assign, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -156,6 +179,7 @@ func (s *Solver) CheckSat(f *Term) (res Result, model *Assign, err error) {
 	s.Stats.Queries++
 	if s.Tracer != nil || s.Metrics != nil {
 		before := s.Stats
+		s.queryVars = 0
 		sp := s.Tracer.Start(s.TraceParent, "smt.query")
 		defer func() { s.finishQuery(sp, start, before, res) }()
 	}
@@ -223,7 +247,8 @@ func (s *Solver) CheckSat(f *Term) (res Result, model *Assign, err error) {
 }
 
 // reuseModel returns the newest kept model under which f evaluates to
-// true, or nil. An evaluation error counts as a miss.
+// true, or nil. Variables a model does not assign evaluate as zero; an
+// evaluation error counts as a miss.
 func (s *Solver) reuseModel(f *Term) *Assign {
 	for i := len(s.models) - 1; i >= 0; i-- {
 		if ok, err := s.models[i].EvalBool(f); err == nil && ok {
@@ -306,6 +331,7 @@ func (s *Solver) checkSatSolve(f *Term, keyHex string) (Result, *Assign, error) 
 		return ResultUnknown, nil, err
 	}
 	solver.AddClause(root)
+	s.queryVars = solver.NumVars()
 	st, winner := s.solveRaced(solver)
 	s.Stats.SATConflicts += solver.Conflicts
 	s.Stats.SATDecisions += solver.Decisions
@@ -347,6 +373,7 @@ func (s *Solver) pastDeadline() bool {
 // activation assumption.
 func (s *Solver) checkSatIncremental(f *Term, keyHex string) (Result, *Assign, error) {
 	if s.incSAT == nil {
+		s.Stats.Instances++
 		s.incSAT = sat.New()
 		s.incSAT.LBD = !s.DisableClauseDB
 		// The persistent instance sees new clauses and assumption
@@ -356,7 +383,7 @@ func (s *Solver) checkSatIncremental(f *Term, keyHex string) (Result, *Assign, e
 		// one-shot and run the full set.
 		s.incSAT.Inprocess = s.Inprocess
 		if s.Recorder != nil {
-			// One session for the whole solver lifetime: the trace grows
+			// One session for the instance's lifetime: the trace grows
 			// monotonically and each Unsat certificate points at its own
 			// position, so the CNF shared across queries is logged once.
 			// Attach the proof log before the blaster exists: its
@@ -415,6 +442,7 @@ func (s *Solver) checkSatIncremental(f *Term, keyHex string) (Result, *Assign, e
 	}
 	s.incSAT.ConflictBudget = s.ConflictBudget
 	s.incSAT.Deadline = s.Deadline
+	s.queryVars = s.incSAT.NumVars()
 	st, winner := s.solveRaced(s.incSAT, root)
 	switch st {
 	case sat.Unsat:

@@ -21,6 +21,7 @@ type Stats struct {
 	SATConflicts  int64
 	SATDecisions  int64
 	CNFClauses    int64
+	Instances     int64 // incremental SAT instances built
 	SolveDuration time.Duration
 	ProofBytes    int64 // certificate bytes written, the run's term table included
 	Certificates  int64 // query certificates emitted
@@ -69,6 +70,7 @@ var statFields = [...]struct {
 	{"sat.conflicts", func(s *Stats) *int64 { return &s.SATConflicts }},
 	{"sat.decisions", func(s *Stats) *int64 { return &s.SATDecisions }},
 	{"smt.cnf_clauses", func(s *Stats) *int64 { return &s.CNFClauses }},
+	{"smt.sat_instances", func(s *Stats) *int64 { return &s.Instances }},
 	{"smt.solve_ns", func(s *Stats) *int64 { return (*int64)(&s.SolveDuration) }},
 	{"proof.bytes", func(s *Stats) *int64 { return &s.ProofBytes }},
 	{"proof.certificates", func(s *Stats) *int64 { return &s.Certificates }},

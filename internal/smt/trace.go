@@ -26,6 +26,9 @@ func (s *Solver) finishQuery(sp *telemetry.Span, start time.Time, before Stats, 
 	}
 	sp.SetAttr("result", res.String())
 	sp.SetAttr("conflicts", s.Stats.SATConflicts-before.SATConflicts)
+	if s.queryVars > 0 {
+		sp.SetAttr("sat_vars", s.queryVars)
+	}
 	if s.Cache != nil {
 		sp.SetAttr("cache_hit", s.Stats.CacheHits > before.CacheHits)
 	}
