@@ -870,8 +870,6 @@ func TestBenchPR6JSON(t *testing.T) {
 		Strengthened int64          `json:"strengthened_clauses,omitempty"`
 		Vivified     int64          `json:"vivified_clauses,omitempty"`
 		Eliminated   int64          `json:"eliminated_vars,omitempty"`
-		Races        int64          `json:"races,omitempty"`
-		RacerWins    int64          `json:"racer_wins,omitempty"`
 		TailSMTCount int64          `json:"tail_smt_count"`
 		TailSMTSecs  float64        `json:"tail_smt_seconds"`
 	}
@@ -891,8 +889,6 @@ func TestBenchPR6JSON(t *testing.T) {
 			Strengthened: sum.SMTStats.StrengthenedClauses,
 			Vivified:     sum.SMTStats.VivifiedClauses,
 			Eliminated:   sum.SMTStats.EliminatedVars,
-			Races:        sum.SMTStats.Races,
-			RacerWins:    sum.SMTStats.RaceRacerWins,
 			TailSMTCount: tail.Count,
 			TailSMTSecs:  time.Duration(tail.Sum).Seconds(),
 		}
@@ -992,9 +988,6 @@ func TestBenchPR9JSON(t *testing.T) {
 		WallSeconds     float64        `json:"wall_seconds"`
 		CPUSeconds      float64        `json:"cpu_seconds"`
 		Counts          map[string]int `json:"class_counts"`
-		Races           int64          `json:"races,omitempty"`
-		RacerWins       int64          `json:"racer_wins,omitempty"`
-		WastedConflicts int64          `json:"race_wasted_conflicts,omitempty"`
 		CubeEscalations int64          `json:"cube_escalations,omitempty"`
 		CubesGenerated  int64          `json:"cubes_generated,omitempty"`
 		CubesRefuted    int64          `json:"cubes_refuted,omitempty"`
@@ -1023,9 +1016,6 @@ func TestBenchPR9JSON(t *testing.T) {
 			WallSeconds:     time.Since(start).Seconds(),
 			CPUSeconds:      sum.CPUTime.Seconds(),
 			Counts:          sum.ClassCounts(),
-			Races:           sum.SMTStats.Races,
-			RacerWins:       sum.SMTStats.RaceRacerWins,
-			WastedConflicts: sum.SMTStats.RaceWastedConflicts,
 			CubeEscalations: sum.SMTStats.CubeEscalations,
 			CubesGenerated:  sum.SMTStats.CubesGenerated,
 			CubesRefuted:    sum.SMTStats.CubesRefuted,

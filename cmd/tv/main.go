@@ -70,7 +70,7 @@ func run() int {
 	noVCCache := flag.Bool("no-vc-cache", false, "ablation: disable the run-wide VC result cache")
 	noClauseReduce := flag.Bool("no-clause-reduce", false, "ablation: disable LBD learned-clause database reduction")
 	noInprocess := flag.Bool("no-inprocess", false, "ablation: disable SatELite-style SAT inprocessing")
-	noPortfolio := flag.Bool("no-portfolio", false, "ablation: disable portfolio racing across idle workers")
+	noPortfolio := flag.Bool("no-portfolio", false, "ablation: disable the probe/cube escalation ladder")
 	noCube := flag.Bool("no-cube", false, "ablation: disable cube-and-conquer escalation for the hardest queries")
 	progress := flag.Bool("progress", false, "print per-function progress")
 	jobs := flag.Int("j", 0, "parallel validation workers for fig6/fig7 (0 = GOMAXPROCS)")
@@ -137,7 +137,8 @@ func run() int {
 		}
 		if !*noPortfolio {
 			// Single-file mode has no worker pool: every slot beyond the
-			// one running the pipeline is idle capacity racers may use.
+			// one running the pipeline is idle capacity cube workers may
+			// steal.
 			copts.Portfolio = smt.NewPortfolio(runtime.GOMAXPROCS(0))
 			copts.Portfolio.Acquire() // the pipeline's own slot
 		}

@@ -56,13 +56,14 @@ type Options struct {
 	// backend (subsumption, vivification, bounded variable elimination;
 	// ablation — on by default, see smt.Solver.Inprocess).
 	DisableInprocess bool
-	// Portfolio, when non-nil, is the shared worker-slot pool that lets
-	// the solver race stuck queries across idle workers (see
-	// smt.Portfolio). The harness injects one pool per corpus run.
+	// Portfolio, when non-nil, is the shared worker-slot pool that runs
+	// stuck queries up the probe → cube escalation ladder, conquering
+	// cubes on idle workers (see smt.Portfolio). The harness injects one
+	// pool per corpus run.
 	Portfolio *smt.Portfolio
-	// DisableCube turns off the cube-and-conquer escalation tier above
-	// portfolio racing (ablation — on by default whenever a Portfolio is
-	// attached; see smt.Solver.DisableCube).
+	// DisableCube turns off the cube-and-conquer stage of the escalation
+	// ladder (ablation — on by default whenever a Portfolio is attached;
+	// see smt.Solver.DisableCube).
 	DisableCube bool
 	// Proof, when non-nil, records a bisimulation witness for the run and
 	// is wired into the solver so every query emits a certificate: the

@@ -60,13 +60,14 @@ type Config struct {
 	// discharged — by any worker, in any function — is answered without
 	// solving. Ignored when Checker.VCCache is already set by the caller.
 	DisableVCCache bool
-	// DisablePortfolio turns off portfolio racing (ablation). By default
-	// Run creates one smt.Portfolio with a token per worker and attaches
-	// it to every checker: a worker holds its token while validating, so
-	// the tokens up for grabs are exactly the idle workers' — racing only
-	// ever spends capacity the run was wasting (the end-of-corpus tail,
-	// where the last stragglers hold the wall clock while the other
-	// workers sit idle). Ignored when Checker.Portfolio is already set.
+	// DisablePortfolio turns off the probe/cube escalation ladder
+	// (ablation). By default Run creates one smt.Portfolio with a token
+	// per worker and attaches it to every checker: a worker holds its
+	// token while validating, so the tokens up for grabs are exactly the
+	// idle workers' — cube workers only ever spend capacity the run was
+	// wasting (the end-of-corpus tail, where the last stragglers hold the
+	// wall clock while the other workers sit idle). Ignored when
+	// Checker.Portfolio is already set.
 	DisablePortfolio bool
 	// ProofDir, when non-empty, makes every validated function emit proof
 	// certificates into that directory: query certificates plus DRAT
@@ -442,10 +443,14 @@ func (s *Summary) RenderStats(w io.Writer) {
 			s.SMTStats.SubsumedClauses, s.SMTStats.StrengthenedClauses,
 			s.SMTStats.VivifiedClauses, s.SMTStats.EliminatedVars)
 	}
-	if s.SMTStats.Races > 0 {
-		fmt.Fprintf(w, "Portfolio: %d races, %d racer wins, %d idle slots borrowed, %d conflicts / %d props wasted by losers\n",
-			s.SMTStats.Races, s.SMTStats.RaceRacerWins, s.SMTStats.RaceTokens,
-			s.SMTStats.RaceWastedConflicts, s.SMTStats.RaceWastedProps)
+	// The ladder's gate decisions for queries that outlived a probe.
+	c := s.Metrics.Counter
+	extend, slow := c("portfolio.probe.extend"), c("portfolio.probe.slow")
+	overrun, nosplit := c("cube.overrun"), c("cube.nosplit")
+	watermark, window, deadline := c("cube.skip.watermark"), c("cube.skip.window"), c("cube.skip.deadline")
+	if extend+slow+overrun+nosplit+watermark+window+deadline > 0 {
+		fmt.Fprintf(w, "Ladder: %d probe extensions, %d slow probes, %d overruns, %d unsplittable; cube skipped: %d watermark, %d window, %d deadline\n",
+			extend, slow, overrun, nosplit, watermark, window, deadline)
 	}
 	if s.SMTStats.CubeEscalations > 0 {
 		fmt.Fprintf(w, "Cube: %d escalations, %d cubes (%d refuted, %d sat), %d stolen-slot conquests\n",

@@ -48,7 +48,8 @@ type PoolConfig struct {
 	// caller tunes probe budgets). With DisablePortfolio unset and this
 	// nil, the pool creates one token per worker.
 	Portfolio *smt.Portfolio
-	// DisablePortfolio turns portfolio racing off (ablation).
+	// DisablePortfolio turns the probe/cube escalation ladder off
+	// (ablation).
 	DisablePortfolio bool
 }
 

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -9,11 +10,12 @@ import (
 	"repro/internal/tv"
 )
 
-// TestPortfolioRowsMatchAblation: lending idle worker slots to portfolio
-// racers is a pure accelerator — the outcome table must be byte-identical
-// to a run with racing and inprocessing disabled. After=1 races every
-// query that survives a single conflict, maximizing the chance a racer
-// (not the primary) supplies the verdict.
+// TestPortfolioRowsMatchAblation: the escalation ladder, with cube
+// workers on idle worker slots, is a pure accelerator — the outcome table
+// must be byte-identical to a run with the ladder and inprocessing
+// disabled. After=1 and CubeAfter=1 escalate every query that survives a
+// single probe, maximizing the chance a cube conquest supplies the
+// verdict.
 func TestPortfolioRowsMatchAblation(t *testing.T) {
 	// Term-node budgets only: wall-clock budgets classify
 	// timing-dependently under the race detector's slowdown.
@@ -25,37 +27,41 @@ func TestPortfolioRowsMatchAblation(t *testing.T) {
 	})
 	pf := smt.NewPortfolio(4)
 	pf.After = 1
-	raced := Run(Config{
+	pf.CubeAfter = 1
+	laddered := Run(Config{
 		Profile: parallelProfile, Budget: budget, Workers: 4,
 		Checker: core.Options{Portfolio: pf},
 	})
 
-	if len(baseline.Rows) != len(raced.Rows) {
-		t.Fatalf("row counts differ: %d vs %d", len(baseline.Rows), len(raced.Rows))
+	if len(baseline.Rows) != len(laddered.Rows) {
+		t.Fatalf("row counts differ: %d vs %d", len(baseline.Rows), len(laddered.Rows))
 	}
 	for i := range baseline.Rows {
-		b, r := baseline.Rows[i], raced.Rows[i]
+		b, r := baseline.Rows[i], laddered.Rows[i]
 		if b.Fn != r.Fn || b.Class != r.Class || b.CodeSize != r.CodeSize {
 			t.Errorf("row %d differs: baseline {%s %v %d} vs portfolio {%s %v %d}",
 				i, b.Fn, b.Class, b.CodeSize, r.Fn, r.Class, r.CodeSize)
 		}
 	}
-	// The end-of-corpus tail structurally idles workers (fewer functions
-	// left than pool slots), so with After=1 some query must have raced.
-	if raced.SMTStats.Races == 0 {
-		t.Error("no query raced: idle-worker lending never engaged")
+	if laddered.SMTStats.CubeEscalations == 0 {
+		t.Error("no query escalated: the ladder never engaged")
 	}
-	t.Logf("races=%d racer wins=%d tokens=%d",
-		raced.SMTStats.Races, raced.SMTStats.RaceRacerWins, raced.SMTStats.RaceTokens)
+	var stats strings.Builder
+	laddered.RenderStats(&stats)
+	if !strings.Contains(stats.String(), "Ladder: ") {
+		t.Errorf("RenderStats shows no Ladder line for an escalating run:\n%s", stats.String())
+	}
+	t.Logf("escalations=%d steals=%d", laddered.SMTStats.CubeEscalations, laddered.SMTStats.CubeSteals)
 }
 
-// TestPortfolioProofsVerify: a proof-emitting run with aggressive racing
-// must produce a certificate directory the independent checker accepts
-// wholesale — racer-won traces included.
+// TestPortfolioProofsVerify: a proof-emitting run with aggressive
+// escalation must produce a certificate directory the independent checker
+// accepts wholesale — cube-composed traces included.
 func TestPortfolioProofsVerify(t *testing.T) {
 	dir := t.TempDir()
 	pf := smt.NewPortfolio(4)
 	pf.After = 1
+	pf.CubeAfter = 1
 	sum := Run(Config{
 		Profile: parallelProfile, Budget: tv.Budget{MaxTermNodes: 4_000_000},
 		Workers:  4,

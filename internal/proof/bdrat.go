@@ -21,9 +21,9 @@ import (
 //	                            first appear in any order: session numbers
 //	                            are assigned when a session is created,
 //	                            but traces are written when a query is
-//	                            decided, and a portfolio racer's session
+//	                            decided, and a cube conquest's session
 //	                            (created later) can flush before the
-//	                            incremental session it raced (created
+//	                            incremental session it split (created
 //	                            first, flushed lazily) writes anything.
 //	'i'/'l'/'d' uvarint(n) lits step of the current session (input, learnt,
 //	                            deleted clause), n delta-coded literals.

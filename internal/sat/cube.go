@@ -2,18 +2,18 @@ package sat
 
 import "sort"
 
-// Cube-and-conquer support: the escalation tier above portfolio racing.
+// Cube-and-conquer support: the escalation tier above solo probing.
 //
-// A query that survives probing and a full portfolio race is not stuck on
-// an unlucky restart schedule — it is structurally hard, and restarting
-// the same search under yet another configuration buys nothing. Cubing
-// splits the instance instead: a lookahead pass over a Snapshot picks the
-// k variables whose assignment propagates the most on both polarities,
-// and the 2^k leaves of the resulting decision tree become independent
-// subproblems ("cubes") solved under assumptions. A satisfiable cube
-// satisfies the whole instance; refuting every cube refutes it, and the
-// per-cube DRAT traces compose into one certificate (ComposeCubeProof)
-// the unchanged RUP checker verifies.
+// A query that survives its doubling probes is not stuck on an unlucky
+// restart schedule — it is structurally hard, and restarting the same
+// search yet again buys nothing. Cubing splits the instance instead: a
+// lookahead pass over a Snapshot picks the k variables whose assignment
+// propagates the most on both polarities, and the 2^k leaves of the
+// resulting decision tree become independent subproblems ("cubes") solved
+// under assumptions. A satisfiable cube satisfies the whole instance;
+// refuting every cube refutes it, and the per-cube DRAT traces compose
+// into one certificate (ComposeCubeProof) the unchanged RUP checker
+// verifies.
 //
 // The cuber is deterministic for a fixed seed: candidate scores are
 // computed from the clause set alone and ties are broken by a seeded
@@ -61,7 +61,7 @@ func splitmix64(x uint64) uint64 {
 }
 
 // Splitmix64 exposes the mixer for callers deriving per-index solver
-// seeds (portfolio racers, cube workers) deterministically.
+// seeds (cube workers) deterministically.
 func Splitmix64(x uint64) uint64 { return splitmix64(x) }
 
 // BuildCubes runs the lookahead cuber over an instance exported by

@@ -62,10 +62,10 @@ func (b lbool) not() lbool {
 	return b ^ 1
 }
 
-// Stop is a shared cancellation token. A portfolio race sets it once some
-// solver wins; every other solver sharing it observes the flag at its next
-// search-loop poll (every 256 conflicts and at restart boundaries) and
-// returns Unknown. A nil *Stop is never stopped.
+// Stop is a shared cancellation token. A cube conquest sets it once some
+// worker finds a Sat cube; every other solver sharing it observes the flag
+// at its next search-loop poll (every 256 conflicts and at restart
+// boundaries) and returns Unknown. A nil *Stop is never stopped.
 type Stop struct{ flag atomic.Bool }
 
 // Stop requests cancellation.
@@ -144,22 +144,15 @@ type Solver struct {
 	Deadline time.Time
 	// Cancel, when non-nil, is a shared cancellation token polled at the
 	// same points as Deadline: once stopped, Solve returns Unknown. A
-	// portfolio race hands the same token to every competing solver so
-	// the first winner cancels the rest.
+	// cube conquest hands the same token to every worker so the first
+	// Sat cube cancels the rest.
 	Cancel *Stop
 
-	// PhasePositive makes fresh variables start with a positive saved
-	// phase (the MiniSat default is negative). Portfolio diversification
-	// knob; must be set before variables are allocated.
-	PhasePositive bool
 	// SeedShuffle, when non-zero, perturbs variable activities and saved
 	// phases with a deterministic xorshift stream seeded by it before the
-	// first search, diversifying the branching order across portfolio
-	// racers. Zero (the default) leaves the ordering untouched.
+	// first search, diversifying the branching order across cube
+	// workers. Zero (the default) leaves the ordering untouched.
 	SeedShuffle uint64
-	// RestartBase scales the Luby restart sequence (0 = default 100
-	// conflicts per unit).
-	RestartBase int64
 
 	// Inprocess enables SatELite-style inprocessing — clause subsumption,
 	// self-subsuming resolution, and vivification — before search and at
@@ -271,8 +264,8 @@ func (s *Solver) NewVar() int {
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, crefUndef)
 	s.order.act = append(s.order.act, 0)
-	// Default phase: false (negated); positive under PhasePositive.
-	s.polarity = append(s.polarity, !s.PhasePositive)
+	// Default phase: false (negated).
+	s.polarity = append(s.polarity, true)
 	s.seen = append(s.seen, 0)
 	s.watches = append(s.watches, nil, nil)
 	s.order.push(v)
@@ -716,6 +709,9 @@ func (s *Solver) locked(c cref) bool {
 	return s.reason[l.Var()] == c && s.valueLit(l) == lTrue
 }
 
+// restartBase is the Luby restart unit in conflicts.
+const restartBase = 100
+
 // luby computes the Luby restart sequence value for index i (1-based).
 func luby(i int64) int64 {
 	for k := int64(1); ; k++ {
@@ -764,11 +760,6 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 	// cheap queries must not exhaust it cumulatively.
 	propsAtStart := s.Propagations
 	maxLearnts := float64(len(s.clauses))/3 + 100
-	restartBase := s.RestartBase
-	if restartBase <= 0 {
-		restartBase = 100
-	}
-
 	for {
 		budget := luby(restartIdx) * restartBase
 		restartIdx++

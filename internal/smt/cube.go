@@ -9,17 +9,16 @@ import (
 )
 
 // Cube-and-conquer: the top of the escalation ladder (see portfolio.go).
-// A query that survives its probes and a full portfolio race is not stuck
-// on an unlucky restart schedule — it is structurally hard, so instead of
-// restarting the same search under yet another configuration the instance
-// is split: sat.BuildCubes runs a lookahead pass over a snapshot and
-// emits the leaves of a small decision tree as assumption sets, and the
-// cubes are conquered across the query's own thread plus any idle
-// portfolio slots, drained from a shared queue (work-stealing). A Sat
-// cube decides the query instantly; refuting every cube refutes it, and
-// the per-cube DRAT traces compose into one certificate
-// (sat.ComposeCubeProof) that the unchanged RUP checker verifies — no new
-// code enters the trust base.
+// A query that survives its doubling probes past the conflict watermark
+// is not stuck on an unlucky restart schedule — it is structurally hard,
+// so instead of restarting the same search again the instance is split:
+// sat.BuildCubes runs a lookahead pass over a snapshot and emits the
+// leaves of a small decision tree as assumption sets, and the cubes are
+// conquered across the query's own thread plus any idle portfolio
+// slots, drained from a shared queue (work-stealing). A Sat cube decides
+// the query instantly; refuting every cube refutes it, and the per-cube
+// DRAT traces compose into one certificate (sat.ComposeCubeProof) that
+// the unchanged RUP checker verifies — no new code enters the trust base.
 
 // solveCubed splits the primary's instance and conquers the cubes.
 // budget bounds each worker's total conflicts (0 = unlimited). Returns
@@ -27,18 +26,18 @@ import (
 // propagation or lookahead alone, or with fewer than two live leaves —
 // in which case the caller falls back to solo search. On an
 // all-cubes-unsat verdict the returned winner is a fresh solver whose
-// Proof is the composed certificate, which the callers' racer-win
-// recording paths consume unchanged.
+// Proof is the composed certificate, which the callers' non-primary
+// winner recording paths consume unchanged.
 func (s *Solver) solveCubed(primary *sat.Solver, budget int64, assumps ...sat.Lit) (sat.Status, *sat.Solver, bool) {
 	pf := s.Portfolio
-	// As with racers, a recording run must snapshot without learnt
-	// clauses: every snapshot clause becomes a DRAT input axiom of the
-	// composed certificate, and only problem clauses and root units are
-	// granted by the certificate consumer.
+	// A recording run must snapshot without learnt clauses: every
+	// snapshot clause becomes a DRAT input axiom of the composed
+	// certificate, and only problem clauses and root units are granted by
+	// the certificate consumer.
 	nv, cnf := primary.Snapshot(s.Recorder == nil)
 	units := append([]sat.Lit(nil), assumps...)
 	buildStart := time.Now()
-	cs := sat.BuildCubes(nv, cnf, units, sat.CubeOptions{MaxVars: pf.cubeVars()})
+	cs := sat.BuildCubes(nv, cnf, units, sat.CubeOptions{MaxVars: cubeVars})
 	s.Metrics.Add("cube.build.ms", time.Since(buildStart).Milliseconds())
 	if cs == nil {
 		s.Metrics.Add("cube.nosplit", 1)
@@ -50,7 +49,7 @@ func (s *Solver) solveCubed(primary *sat.Solver, budget int64, assumps ...sat.Li
 	// The query's own thread always conquers; idle portfolio slots are
 	// stolen for extra workers, never more than there are cubes to share.
 	stolen := 0
-	for stolen+1 < len(cs.Cubes) && stolen < pf.maxRacers() && pf.TryAcquire() {
+	for stolen+1 < len(cs.Cubes) && stolen < maxCubeSteals && pf.TryAcquire() {
 		stolen++
 	}
 	if stolen == 0 {
@@ -94,9 +93,9 @@ func (s *Solver) solveCubed(primary *sat.Solver, budget int64, assumps ...sat.Li
 			r.sat = -1
 			solver := sat.New()
 			solver.LBD = true
-			// Like racers, cube workers never inprocess: the snapshot
-			// already carries the primary's simplification, and a cube's
-			// edge is the shrunken search space, not rediscovered rewrites.
+			// Cube workers never inprocess: the snapshot already carries
+			// the primary's simplification, and a cube's edge is the
+			// shrunken search space, not rediscovered rewrites.
 			solver.SeedShuffle = sat.Splitmix64(0xcb0e5eed + uint64(w))
 			solver.Deadline = primary.Deadline
 			solver.Cancel = cancel
@@ -172,8 +171,8 @@ func (s *Solver) solveCubed(primary *sat.Solver, budget int64, assumps ...sat.Li
 	for w := range results {
 		r := &results[w]
 		// Cube workers do the verdict's real search, so their spend is
-		// solver work, not portfolio waste — the callers only aggregate
-		// the primary's counters, so fold the workers' in here.
+		// solver work — the callers only aggregate the primary's
+		// counters, so fold the workers' in here.
 		s.Stats.SATConflicts += r.solver.Conflicts
 		s.Stats.SATDecisions += r.solver.Decisions
 		refuted += r.refuted
@@ -197,7 +196,7 @@ func (s *Solver) solveCubed(primary *sat.Solver, budget int64, assumps ...sat.Li
 	if !unknown && refuted == len(cs.Cubes) {
 		// All cubes refuted: the instance is unsat. Hand back a fresh
 		// solver carrying only the composed certificate, so the callers'
-		// existing racer-win recording paths flush it unchanged.
+		// existing non-primary winner recording paths flush it unchanged.
 		win := sat.New()
 		if s.Recorder != nil {
 			traces := make([]sat.CubeTrace, 0, workers)

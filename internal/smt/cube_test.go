@@ -10,10 +10,10 @@ import (
 	"repro/internal/sat"
 )
 
-// drainedPortfolio returns a pool whose tokens are all held, so the race
-// stage starves and the ladder falls through to cube-and-conquer — which
-// always has the query's own thread as a worker and so runs regardless.
-// CubeAfter 1 makes any query with at least one probe conflict eligible.
+// drainedPortfolio returns a pool whose tokens are all held, so no cube
+// worker can steal a slot and every conquest runs in place on the query's
+// own thread. CubeAfter 1 makes any query with at least one probe
+// conflict eligible.
 func drainedPortfolio() *Portfolio {
 	pf := NewPortfolio(1)
 	pf.After = 1
@@ -22,10 +22,10 @@ func drainedPortfolio() *Portfolio {
 	return pf
 }
 
-// TestCubeMatchesPlain: with the race starved and every non-trivial query
+// TestCubeMatchesPlain: with no slot to steal and every non-trivial query
 // escalating to cube-and-conquer, verdicts must match a plain solver's
-// exactly, on both the one-shot and the incremental paths — the same
-// row-parity guarantee the portfolio race is held to.
+// exactly, on both the one-shot and the incremental paths — the
+// row-parity guarantee the harness relies on.
 func TestCubeMatchesPlain(t *testing.T) {
 	var escalations int64
 	f := func(seed int64) bool {
@@ -174,9 +174,7 @@ func TestSolveCubedWorkStealing(t *testing.T) {
 	defer finish()
 	s := NewSolver(ctx)
 	s.Recorder = rec
-	pf := NewPortfolio(3)
-	pf.CubeVars = 4
-	s.Portfolio = pf
+	s.Portfolio = NewPortfolio(3)
 
 	// Build a primary SAT instance directly: pigeonhole 7 into 6.
 	const pigeons, holes = 7, 6
@@ -242,45 +240,4 @@ func TestSolveCubedWorkStealing(t *testing.T) {
 	}
 	t.Logf("generated=%d refuted=%d steals=%d",
 		s.Stats.CubesGenerated, s.Stats.CubesRefuted, s.Stats.CubeSteals)
-}
-
-// TestRacerConfigsDistinct: every racer index yields a distinct
-// configuration — previously index 3 wrapped to racer 0's exact config
-// and burned its slot on a duplicate search.
-func TestRacerConfigsDistinct(t *testing.T) {
-	seen := map[raceConfig]int{}
-	for i := 0; i < 12; i++ {
-		cfg := racerConfig(i)
-		if j, dup := seen[cfg]; dup {
-			t.Fatalf("racer %d and racer %d share a config: %+v", j, i, cfg)
-		}
-		seen[cfg] = i
-	}
-}
-
-// TestRaceWastedAccounting: losing racers' CPU must show up in the
-// wasted counters instead of vanishing from the phase reports.
-func TestRaceWastedAccounting(t *testing.T) {
-	ctx := NewContext()
-	pf := NewPortfolio(3)
-	pf.After = 1
-	s := NewSolver(ctx)
-	s.Portfolio = pf
-	for i, tag := range []string{"a", "b", "c"} {
-		res, _, err := s.CheckSat(distinctUnder(ctx, tag, 8, 3, 7))
-		if err != nil {
-			t.Fatalf("query %d: %v", i, err)
-		}
-		if res != ResultUnsat {
-			t.Fatalf("query %d: got %v, want unsat", i, res)
-		}
-	}
-	if s.Stats.Races == 0 {
-		t.Fatal("no query raced despite After=1")
-	}
-	if s.Stats.RaceWastedProps == 0 {
-		t.Fatalf("races ran but zero wasted propagations accounted: %+v", s.Stats)
-	}
-	t.Logf("races=%d wasted conflicts=%d wasted props=%d",
-		s.Stats.Races, s.Stats.RaceWastedConflicts, s.Stats.RaceWastedProps)
 }

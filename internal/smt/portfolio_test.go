@@ -8,12 +8,13 @@ import (
 	"time"
 
 	"repro/internal/proof"
+	"repro/internal/telemetry"
 )
 
 // distinctUnder builds the pigeonhole-flavored constraint "n distinct
 // values, each below bound". Unsat iff n > bound, and resolution-hard
 // enough near the boundary to guarantee real CDCL conflicts — which is
-// what forces a portfolio race when After is tiny.
+// what forces escalation when After is tiny.
 func distinctUnder(ctx *Context, tag string, n int, width uint8, bound uint64) *Term {
 	vars := make([]*Term, n)
 	form := ctx.True()
@@ -29,20 +30,22 @@ func distinctUnder(ctx *Context, tag string, n int, width uint8, bound uint64) *
 	return form
 }
 
-// TestPortfolioMatchesPlain: a solver racing every query that survives a
-// one-conflict probe must return exactly the verdicts of a plain solver,
-// on both the one-shot and the incremental paths. This is the row-parity
-// guarantee the harness relies on when it lends idle worker slots.
+// TestPortfolioMatchesPlain: a solver escalating every query that
+// survives a one-conflict probe — cubes conquered on idle slots — must
+// return exactly the verdicts of a plain solver, on both the one-shot and
+// the incremental paths. This is the row-parity guarantee the harness
+// relies on when it lends idle worker slots.
 func TestPortfolioMatchesPlain(t *testing.T) {
-	var races int64
+	var escalations int64
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		ctx := NewContext()
 		pf := NewPortfolio(3)
-		pf.After = 1 // race everything non-trivial
-		raced := NewSolver(ctx)
-		raced.Portfolio = pf
-		raced.Inprocess = true
+		pf.After = 1 // escalate everything non-trivial
+		pf.CubeAfter = 1
+		laddered := NewSolver(ctx)
+		laddered.Portfolio = pf
+		laddered.Inprocess = true
 		inc := NewSolver(ctx)
 		inc.Incremental = true
 		inc.Portfolio = pf
@@ -63,29 +66,29 @@ func TestPortfolioMatchesPlain(t *testing.T) {
 		for q, form := range queries {
 			cold := NewSolver(ctx)
 			want, _, errCold := cold.CheckSat(form)
-			got, _, errRaced := raced.CheckSat(form)
+			got, _, errLaddered := laddered.CheckSat(form)
 			gotInc, _, errInc := inc.CheckSat(form)
-			if (errCold == nil) != (errRaced == nil) || (errCold == nil) != (errInc == nil) {
-				t.Logf("seed %d q %d: error mismatch cold=%v raced=%v inc=%v",
-					seed, q, errCold, errRaced, errInc)
+			if (errCold == nil) != (errLaddered == nil) || (errCold == nil) != (errInc == nil) {
+				t.Logf("seed %d q %d: error mismatch cold=%v laddered=%v inc=%v",
+					seed, q, errCold, errLaddered, errInc)
 				return false
 			}
 			if errCold != nil {
 				continue
 			}
 			if got != want || gotInc != want {
-				t.Logf("seed %d q %d: cold=%v raced=%v inc=%v", seed, q, want, got, gotInc)
+				t.Logf("seed %d q %d: cold=%v laddered=%v inc=%v", seed, q, want, got, gotInc)
 				return false
 			}
 		}
-		races += raced.Stats.Races + inc.Stats.Races
+		escalations += laddered.Stats.CubeEscalations + inc.Stats.CubeEscalations
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
-	if races == 0 {
-		t.Fatal("no query ever raced: the portfolio path was not exercised")
+	if escalations == 0 {
+		t.Fatal("no query ever escalated: the portfolio path was not exercised")
 	}
 }
 
@@ -113,8 +116,9 @@ func newTestRecorder(t *testing.T, name string) (*proof.Recorder, func() string)
 }
 
 // TestPortfolioCertsVerify: with a Recorder attached, every certificate a
-// portfolio run emits — including traces recorded from a winning racer's
-// self-contained refutation — must verify from scratch with CheckDir.
+// portfolio run emits — including the self-contained refutations composed
+// by cube workers on stolen slots — must verify from scratch with
+// CheckDir.
 func TestPortfolioCertsVerify(t *testing.T) {
 	for _, incremental := range []bool{false, true} {
 		t.Run(fmt.Sprintf("incremental=%v", incremental), func(t *testing.T) {
@@ -122,6 +126,7 @@ func TestPortfolioCertsVerify(t *testing.T) {
 			rec, finish := newTestRecorder(t, fmt.Sprintf("portfolio-inc-%v", incremental))
 			pf := NewPortfolio(3)
 			pf.After = 1
+			pf.CubeAfter = 1
 			s := NewSolver(ctx)
 			s.Recorder = rec
 			s.Portfolio = pf
@@ -146,10 +151,10 @@ func TestPortfolioCertsVerify(t *testing.T) {
 					t.Fatalf("query %d: got %v, want %v", i, res, q.want)
 				}
 			}
-			if s.Stats.Races == 0 {
-				t.Fatal("no query raced despite After=1 on pigeonhole instances")
+			if s.Stats.CubeEscalations == 0 {
+				t.Fatal("no query escalated despite After=1 on pigeonhole instances")
 			}
-			t.Logf("races=%d racer wins=%d", s.Stats.Races, s.Stats.RaceRacerWins)
+			t.Logf("escalations=%d steals=%d", s.Stats.CubeEscalations, s.Stats.CubeSteals)
 
 			report, err := proof.CheckDir(finish())
 			if err != nil {
@@ -160,6 +165,68 @@ func TestPortfolioCertsVerify(t *testing.T) {
 			}
 			if report.ByKind[proof.KindDRAT] < 3 {
 				t.Errorf("expected at least 3 DRAT certificates, got %d", report.ByKind[proof.KindDRAT])
+			}
+		})
+	}
+}
+
+// TestLadderWatermarkFallback: without a wall budget the escalation gate
+// opens after the first probe, so a query short of the cube watermark
+// must reach the cube gate, be counted as skipped there, and finish solo
+// — with the verdicts and certificate kinds of a solver without a
+// portfolio, and every pool token back afterwards.
+func TestLadderWatermarkFallback(t *testing.T) {
+	for _, incremental := range []bool{false, true} {
+		t.Run(fmt.Sprintf("incremental=%v", incremental), func(t *testing.T) {
+			ctx := NewContext()
+			queries := []*Term{
+				distinctUnder(ctx, "a", 7, 3, 6),
+				distinctUnder(ctx, "b", 6, 3, 6),
+				distinctUnder(ctx, "c", 8, 3, 7),
+			}
+			solve := func(pf *Portfolio, m *telemetry.Metrics) ([]Result, *proof.CheckReport) {
+				rec, finish := newTestRecorder(t, fmt.Sprintf("ladder-%v-%v", incremental, pf != nil))
+				s := NewSolver(ctx)
+				s.Recorder = rec
+				s.Portfolio = pf
+				s.Metrics = m
+				s.Incremental = incremental
+				var got []Result
+				for i, q := range queries {
+					res, _, err := s.CheckSat(q)
+					if err != nil {
+						t.Fatalf("query %d: %v", i, err)
+					}
+					got = append(got, res)
+				}
+				report, err := proof.CheckDir(finish())
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range report.Rejections {
+					t.Errorf("rejection: %s", r)
+				}
+				return got, report
+			}
+
+			pf := NewPortfolio(3)
+			pf.After = 1
+			pf.CubeAfter = 1 << 40
+			m := telemetry.NewMetrics()
+			got, report := solve(pf, m)
+			want, wantReport := solve(nil, nil)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("verdicts %v, want %v", got, want)
+			}
+			if report.Queries != wantReport.Queries || fmt.Sprint(report.ByKind) != fmt.Sprint(wantReport.ByKind) {
+				t.Errorf("certificates %d %v, want %d %v",
+					report.Queries, report.ByKind, wantReport.Queries, wantReport.ByKind)
+			}
+			if m.Counter("cube.skip.watermark") == 0 {
+				t.Error("no query reached the cube gate short of the watermark")
+			}
+			if len(pf.tokens) != cap(pf.tokens) {
+				t.Errorf("%d of %d pool tokens back after the run", len(pf.tokens), cap(pf.tokens))
 			}
 		})
 	}

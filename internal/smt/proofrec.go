@@ -65,8 +65,8 @@ func (s *Solver) hookVars(sess *proof.Session) func(t *Term, lits []sat.Lit) {
 
 // mapBlasterVars registers every free term variable already encoded by b
 // into sess — the after-the-fact equivalent of hookVars for sessions
-// created once the blaster exists (a portfolio racer's session: the racer
-// shares the blaster's variable numbering via the snapshot).
+// created once the blaster exists (a stolen-slot cube conquest's session:
+// its workers share the blaster's variable numbering via the snapshot).
 func (s *Solver) mapBlasterVars(sess *proof.Session, b *blaster) {
 	hook := s.hookVars(sess)
 	for t, lits := range b.bvMemo {

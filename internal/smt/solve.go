@@ -43,15 +43,16 @@ type Solver struct {
 	// Deadline, when non-zero, makes queries return ErrDeadline once passed.
 	Deadline time.Time
 	// Budget is the wall-clock allowance Deadline was derived from. The
-	// adaptive escalation ladder uses it to gate portfolio races on the
+	// adaptive escalation ladder uses it to gate escalation on the
 	// remaining-deadline fraction: while more than half the budget is
-	// left the primary keeps probing solo with doubled budgets, so races
-	// fire only for queries that are genuinely running out of time. Zero
-	// (or a zero Deadline) leaves races ungated, the pre-adaptive
-	// behavior.
+	// left the primary keeps probing solo with doubled budgets, so the
+	// cube stage fires only for queries that are genuinely running out of
+	// time. Zero (or a zero Deadline) leaves escalation ungated, the
+	// pre-adaptive behavior.
 	Budget time.Duration
-	// DisableCube turns off the cube-and-conquer escalation tier above
-	// portfolio racing (ablation; see cube.go and sat.BuildCubes).
+	// DisableCube turns off the cube-and-conquer stage of the escalation
+	// ladder, so escalated queries finish solo (ablation; see cube.go and
+	// sat.BuildCubes).
 	DisableCube bool
 	// Incremental keeps one SAT instance, bit-blaster, and array reducer
 	// alive across queries: shared subterms are encoded once and learned
@@ -79,9 +80,9 @@ type Solver struct {
 	// preserved: every rewrite is logged into the DRAT trace, and the one
 	// non-RUP rewrite is auto-disabled while a Recorder is attached.
 	Inprocess bool
-	// Portfolio, when non-nil, races queries that outlive the probe
-	// budget across idle worker slots with diversified configurations;
-	// the first decision cancels the rest. See portfolio.go.
+	// Portfolio, when non-nil, runs queries that outlive the probe budget
+	// up the probe → cube escalation ladder, conquering cubes on idle
+	// worker slots. See portfolio.go.
 	Portfolio *Portfolio
 	// Recorder, when non-nil, makes every decided query emit a proof
 	// certificate: Unsat verdicts stream their SAT clause trace into a
@@ -332,7 +333,7 @@ func (s *Solver) checkSatSolve(f *Term, keyHex string) (Result, *Assign, error) 
 	}
 	solver.AddClause(root)
 	s.queryVars = solver.NumVars()
-	st, winner := s.solveRaced(solver)
+	st, winner := s.solveLadder(solver)
 	s.Stats.SATConflicts += solver.Conflicts
 	s.Stats.SATDecisions += solver.Decisions
 	s.Stats.CNFClauses += int64(solver.NumClauses())
@@ -345,14 +346,15 @@ func (s *Solver) checkSatSolve(f *Term, keyHex string) (Result, *Assign, error) 
 		if sess != nil {
 			// No assumptions here, so Unsat is a global refutation: the
 			// obligation is the empty clause. The winner's trace is the
-			// one recorded — a racer's is a complete one-shot refutation
-			// of the snapshot CNF over the same variable numbering.
+			// one recorded — a cube composition is a complete one-shot
+			// refutation of the snapshot CNF over the same variable
+			// numbering.
 			s.recordUnsat(winner.Proof, 0, sess, nil, keyHex)
 		}
 		return ResultUnsat, nil, nil
 	case sat.Unknown:
-		// Unknown conflates budget exhaustion, deadline expiry, and a lost
-		// race; attribute the deadline truthfully so tail reports do not
+		// Unknown conflates budget exhaustion, deadline expiry, and an
+		// undecided cube conquest; attribute the deadline truthfully so tail reports do not
 		// blame the conflict budget for wall-clock starvation.
 		if s.pastDeadline() {
 			return ResultUnknown, nil, ErrDeadline
@@ -379,8 +381,7 @@ func (s *Solver) checkSatIncremental(f *Term, keyHex string) (Result, *Assign, e
 		// The persistent instance sees new clauses and assumption
 		// variables on every query, so it gets the implication-only
 		// inprocessing rewrites; variable elimination stays off
-		// (InprocessElim false) — racers spawned from its snapshots are
-		// one-shot and run the full set.
+		// (InprocessElim false).
 		s.incSAT.Inprocess = s.Inprocess
 		if s.Recorder != nil {
 			// One session for the instance's lifetime: the trace grows
@@ -443,7 +444,7 @@ func (s *Solver) checkSatIncremental(f *Term, keyHex string) (Result, *Assign, e
 	s.incSAT.ConflictBudget = s.ConflictBudget
 	s.incSAT.Deadline = s.Deadline
 	s.queryVars = s.incSAT.NumVars()
-	st, winner := s.solveRaced(s.incSAT, root)
+	st, winner := s.solveLadder(s.incSAT, root)
 	switch st {
 	case sat.Unsat:
 		if s.incSession != nil {
@@ -458,11 +459,12 @@ func (s *Solver) checkSatIncremental(f *Term, keyHex string) (Result, *Assign, e
 				}
 				s.incFlushed = s.recordUnsat(s.incSAT.Proof, s.incFlushed, s.incSession, final, keyHex)
 			} else {
-				// A racer won. Its trace is a self-contained one-shot
-				// refutation — snapshot clauses plus the activation unit as
-				// inputs, empty clause as the obligation — so it gets its
-				// own session; the shared incremental session and its flush
-				// watermark stay untouched for the next primary-won query.
+				// A stolen-slot cube conquest refuted every cube. Its
+				// composed trace is a self-contained one-shot refutation —
+				// snapshot clauses plus the activation unit as inputs, empty
+				// clause as the obligation — so it gets its own session; the
+				// shared incremental session and its flush watermark stay
+				// untouched for the next primary-won query.
 				sess := s.Recorder.NewSession()
 				s.mapBlasterVars(sess, s.incBlaster)
 				s.recordUnsat(winner.Proof, 0, sess, nil, keyHex)
@@ -476,7 +478,7 @@ func (s *Solver) checkSatIncremental(f *Term, keyHex string) (Result, *Assign, e
 		return ResultUnknown, nil, ErrBudget
 	}
 	// The snapshot preserves variable numbering, so the blaster memos
-	// decode a racer's model exactly like the primary's.
+	// decode a cube worker's model exactly like the primary's.
 	m := s.extractModel(f, s.incReducer, s.incBlaster, winner)
 	s.recordModel(f, m, keyHex)
 	return ResultSat, m, nil

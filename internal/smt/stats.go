@@ -27,25 +27,23 @@ type Stats struct {
 	Certificates  int64 // query certificates emitted
 
 	// Inprocessing counters (see internal/sat/preprocess.go). These count
-	// the work done by the primary per-query/per-worker instances; racer
-	// instances simplify their own snapshots and are not aggregated.
+	// the work done by the primary per-query/per-worker instances; cube
+	// workers never inprocess.
 	SubsumedClauses     int64 // clauses deleted as subsumed or root-satisfied
 	StrengthenedClauses int64 // clauses shortened by self-subsuming resolution
 	VivifiedClauses     int64 // clauses shortened by vivification probes
 	EliminatedVars      int64 // variables removed by bounded elimination
 
-	// Portfolio-racing counters.
-	Races         int64 // queries that outlived the probe budget and raced
-	RaceRacerWins int64 // races decided by a racer rather than the primary
-	RaceTokens    int64 // idle worker slots borrowed across all races
-	// Loser-side race accounting: CPU spent by racers whose result was
-	// discarded (and by the primary's race leg when a racer won). Kept
-	// apart from SATConflicts, which counts only work that produced the
-	// verdicts, so phase reports can show the true cost of racing.
+	// Races, RaceRacerWins and RaceWastedConflicts are always zero: the
+	// portfolio race rung they counted was retired, because the benchmark
+	// of record showed it never deciding a query. They remain because the
+	// frozen benchmark module (perfbench) still reads them, and they stay
+	// out of statFields, so no counter carries them.
+	Races               int64
+	RaceRacerWins       int64
 	RaceWastedConflicts int64
-	RaceWastedProps     int64
 
-	// Cube-and-conquer counters (the escalation tier above racing).
+	// Cube-and-conquer counters (the top stage of the escalation ladder).
 	CubeEscalations int64 // queries escalated to cube-and-conquer
 	CubesGenerated  int64 // cubes emitted by the lookahead cuber
 	CubesRefuted    int64 // cubes refuted under assumptions
@@ -53,10 +51,11 @@ type Stats struct {
 	CubeSteals      int64 // cubes drained by stolen idle slots
 }
 
-// statFields pairs every Stats field with the telemetry counter that
-// carries it. It is the only list of the fields: Add, Record, and
-// StatsOf all iterate it, so a field added here travels, merges, and
-// renders everywhere at once. SolveDuration travels in nanoseconds.
+// statFields pairs every Stats field but the three retired race fields
+// with the telemetry counter that carries it. It is the only list of the
+// fields: Add, Record, and StatsOf all iterate it, so a field added here
+// travels, merges, and renders everywhere at once. SolveDuration travels
+// in nanoseconds.
 var statFields = [...]struct {
 	name  string
 	field func(*Stats) *int64
@@ -78,11 +77,6 @@ var statFields = [...]struct {
 	{"inprocess.strengthened", func(s *Stats) *int64 { return &s.StrengthenedClauses }},
 	{"inprocess.vivified", func(s *Stats) *int64 { return &s.VivifiedClauses }},
 	{"inprocess.eliminated", func(s *Stats) *int64 { return &s.EliminatedVars }},
-	{"portfolio.race", func(s *Stats) *int64 { return &s.Races }},
-	{"portfolio.win.racer", func(s *Stats) *int64 { return &s.RaceRacerWins }},
-	{"portfolio.tokens", func(s *Stats) *int64 { return &s.RaceTokens }},
-	{"portfolio.wasted.conflicts", func(s *Stats) *int64 { return &s.RaceWastedConflicts }},
-	{"portfolio.wasted.props", func(s *Stats) *int64 { return &s.RaceWastedProps }},
 	{"cube.escalation", func(s *Stats) *int64 { return &s.CubeEscalations }},
 	{"cube.generated", func(s *Stats) *int64 { return &s.CubesGenerated }},
 	{"cube.refuted", func(s *Stats) *int64 { return &s.CubesRefuted }},

@@ -7,10 +7,14 @@ import (
 	"repro/internal/telemetry"
 )
 
+// retiredStats are the always-zero race fields kept only for the
+// benchmark module; they are deliberately absent from statFields.
+var retiredStats = map[string]bool{"Races": true, "RaceRacerWins": true, "RaceWastedConflicts": true}
+
 // TestStatFieldsCoverStats guards the one list of Stats fields: every
-// numeric field appears in statFields exactly once, under a counter name
-// no other field uses, and a Stats whose fields all differ survives
-// Record → StatsOf and Add unchanged.
+// numeric field but the retired ones appears in statFields exactly once,
+// under a counter name no other field uses, and a Stats whose fields all
+// differ survives Record → StatsOf and Add unchanged.
 func TestStatFieldsCoverStats(t *testing.T) {
 	var s Stats
 	sv := reflect.ValueOf(&s).Elem()
@@ -19,7 +23,9 @@ func TestStatFieldsCoverStats(t *testing.T) {
 			t.Fatalf("Stats.%s has kind %s; statFields carries int64 fields only",
 				sv.Type().Field(i).Name, sv.Field(i).Kind())
 		}
-		sv.Field(i).SetInt(int64(1000 + i))
+		if !retiredStats[sv.Type().Field(i).Name] {
+			sv.Field(i).SetInt(int64(1000 + i))
+		}
 	}
 	seen := make(map[uintptr]string)
 	names := make(map[string]bool)
@@ -35,8 +41,9 @@ func TestStatFieldsCoverStats(t *testing.T) {
 		seen[addr] = f.name
 	}
 	for i := 0; i < sv.NumField(); i++ {
-		if _, ok := seen[sv.Field(i).Addr().Pointer()]; !ok {
-			t.Errorf("Stats.%s has no entry in statFields", sv.Type().Field(i).Name)
+		name := sv.Type().Field(i).Name
+		if _, ok := seen[sv.Field(i).Addr().Pointer()]; ok == retiredStats[name] {
+			t.Errorf("Stats.%s: in statFields %v, retired %v", name, ok, retiredStats[name])
 		}
 	}
 

@@ -307,8 +307,8 @@ func runCheck(mod *llvmir.Module, fn *llvmir.Function, xfn *vx86.Function,
 	// checker's symbolic-stepping loop polls the same deadline.
 	solver.Deadline = deadline
 	// The original wall-clock allowance, alongside the absolute deadline,
-	// is what lets the portfolio's escalation ladder gate races on the
-	// remaining-budget fraction (see smt.Solver.Budget).
+	// is what lets the portfolio's escalation ladder gate the cube stage
+	// on the remaining-budget fraction (see smt.Solver.Budget).
 	solver.Budget = budget.Timeout
 	// Runs during panic unwinding too (declared after the recover handler,
 	// so it fires first): the phase breakdown and span must survive an OOM
