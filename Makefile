@@ -1,6 +1,7 @@
 # Tier-1 verification: build + full test suite, static analysis, gofmt
 # cleanliness, the race detector over the concurrent packages (the
-# harness worker pool and the tv pipeline it drives), the nested
+# harness worker pool, the tv pipeline it drives, and the certificate
+# checker's per-function workers), the nested
 # benchmark module, which the root `go build ./...` does not reach, and
 # one run of every per-layer microbenchmark.
 .PHONY: tier1 build test vet fmtcheck race perfbench microbench bench benchall
@@ -25,7 +26,7 @@ fmtcheck:
 # test's default 10m package timeout under -race on small machines;
 # the raised timeout does not mask races, which fail immediately.
 race:
-	go test -race -timeout 30m ./internal/harness ./internal/tv ./internal/telemetry ./internal/smt ./internal/store ./internal/tvd
+	go test -race -timeout 30m ./internal/harness ./internal/tv ./internal/telemetry ./internal/smt ./internal/store ./internal/tvd ./internal/proof
 
 # perfbench vets and tests the benchmark-of-record module (perfbench/,
 # its own go.mod), so an API change that breaks it fails tier 1.
@@ -33,11 +34,12 @@ perfbench:
 	go -C perfbench vet ./... && go -C perfbench test ./...
 
 # microbench runs each per-layer microbenchmark (SAT search, incremental
-# SMT, one corpus function through the whole tv pipeline) once, so a
+# SMT, one corpus function through the whole tv pipeline, RUP replay of
+# a recorded trace, a certified directory through CheckDir) once, so a
 # change that breaks one fails tier 1. For numbers, raise -benchtime and
 # compare allocs/op and ns/op across commits.
 microbench:
-	go test -run '^$$' -bench . -benchtime 1x ./internal/sat ./internal/smt ./internal/tv
+	go test -run '^$$' -bench . -benchtime 1x ./internal/sat ./internal/smt ./internal/tv ./internal/proof
 
 # bench reproduces the Figure 6 comparisons — cache on/off, proof
 # emission on/off, tracing on/off, inprocessing/portfolio ablations,

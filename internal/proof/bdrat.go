@@ -38,8 +38,8 @@ import (
 //
 // Literals are sorted by variable (positive polarity first on ties) and
 // encoded as uvarint((var - prevVar) << 1 | signBit). Sorting is sound —
-// clauses are sets: RUP is insensitive to literal order and the checker's
-// deletion matching keys on sorted literals — and it makes the deltas
+// clauses are sets: RUP and the checker's deletion matching are both
+// insensitive to literal order — and it makes the deltas
 // small, which together with DEFLATE is what buys the ~8-9x size
 // reduction over the textual format.
 const (

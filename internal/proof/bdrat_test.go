@@ -9,7 +9,11 @@ package proof_test
 
 import (
 	"bytes"
+	"compress/flate"
+	"io"
+	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -203,4 +207,71 @@ func TestBinDratOutOfOrderSessions(t *testing.T) {
 	if bw.Step(-1, proof.OpInput, nil) == nil {
 		t.Fatal("negative session accepted")
 	}
+}
+
+// FuzzWalkDrat feeds arbitrary container bytes through WalkDrat into
+// one SessionChecker per session, as proofcheck does with untrusted
+// .drat files. Nothing may panic, and allocation must stay linear in
+// the inflated stream: a huge variable index or session number is a
+// few bytes of input and must cost a few bytes of memory.
+func FuzzWalkDrat(f *testing.F) {
+	valid := func(steps []dratStep) []byte {
+		var buf bytes.Buffer
+		bw := proof.NewBinWriter(&buf)
+		for _, s := range steps {
+			if err := bw.Step(s.sess, s.op, s.lits); err != nil {
+				f.Fatal(err)
+			}
+		}
+		if err := bw.Close(); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	f.Add(valid([]dratStep{
+		{0, proof.OpInput, []int32{1, 2}}, {0, proof.OpInput, []int32{-1, 2}},
+		{0, proof.OpLearn, []int32{2}}, {1, proof.OpInput, []int32{-3}},
+		{0, proof.OpDelete, []int32{2, 1}}, {0, proof.OpLearn, []int32{1}},
+	}))
+	f.Add(valid([]dratStep{
+		{0, proof.OpInput, []int32{math.MaxInt32, -3}}, {1 << 30, proof.OpInput, nil},
+	}))
+	f.Add([]byte("BDRT\x03garbage"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		inflated := 0
+		if len(data) > 5 {
+			n, _ := io.Copy(io.Discard, flate.NewReader(bytes.NewReader(data[5:])))
+			inflated = int(n)
+		}
+		if inflated > 1<<20 {
+			t.Skip("inflates past 1 MiB") // bounds the fuzzer's own memory
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		checkers := map[int]*proof.SessionChecker{}
+		// Most inputs are malformed; only panics and allocation count here.
+		_ = proof.WalkDrat(bytes.NewReader(data), func(sess int, op byte, lits []int32) error {
+			ck := checkers[sess]
+			if ck == nil {
+				ck = proof.NewSessionChecker()
+				checkers[sess] = ck
+			}
+			// A step error is a rejection; the checker stays usable.
+			switch op {
+			case proof.OpInput:
+				_ = ck.AddInput(lits)
+			case proof.OpLearn:
+				_ = ck.AddLearnt(lits)
+			case proof.OpDelete:
+				_ = ck.Delete(lits)
+			}
+			return nil
+		})
+		runtime.ReadMemStats(&after)
+		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+1024*inflated); got > bound {
+			t.Fatalf("%d input bytes (%d inflated) allocated %d bytes, bound %d",
+				len(data), inflated, got, bound)
+		}
+	})
 }

@@ -8,8 +8,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/term"
 )
@@ -56,59 +58,98 @@ type dratCheckpoint struct {
 // lists every rejection; an error is returned only for directory-level
 // I/O failures.
 //
+// Functions are checked on runtime.GOMAXPROCS(0) workers, largest DRAT
+// trace first, each into its own partial report; the partials merge in
+// sorted base order, so the report does not depend on the worker count.
+// Ref resolution, witnesses and the manifest follow serially.
+//
 // Verification streams: certificates decode value by value and each
 // trace replays in a single forward pass, so peak memory is bounded by
-// the term table plus the largest single session, not the directory.
-// Artifacts of any other format version — schema-1 headers, text DRAT
-// traces, uncompressed JSON — are rejected as unsupported.
+// the term table plus one function's sessions per worker, not the
+// directory. Artifacts of any other format version — schema-1 headers,
+// text DRAT traces, uncompressed JSON — are rejected as unsupported.
 func CheckDir(dir string) (*CheckReport, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	var certBases []string
+	var jobs []*fnJob
+	dratSize := map[string]int64{}
 	witnessBases := map[string]bool{}
 	for _, e := range entries {
 		name := e.Name()
 		if strings.HasSuffix(name, CertsSuffix) {
-			certBases = append(certBases, strings.TrimSuffix(name, CertsSuffix))
+			jobs = append(jobs, &fnJob{base: strings.TrimSuffix(name, CertsSuffix)})
 		}
 		if strings.HasSuffix(name, WitnessSuffix) {
 			witnessBases[strings.TrimSuffix(name, WitnessSuffix)] = true
 		}
+		if strings.HasSuffix(name, DratSuffix) {
+			if info, err := e.Info(); err == nil {
+				dratSize[strings.TrimSuffix(name, DratSuffix)] = info.Size()
+			}
+		}
 	}
-	sort.Strings(certBases)
+	sort.Slice(jobs, func(i, j int) bool { return jobs[i].base < jobs[j].base })
+	segs := &termSegments{dir: dir}
+	order := append([]*fnJob(nil), jobs...)
+	sort.SliceStable(order, func(i, j int) bool { return dratSize[order[i].base] > dratSize[order[j].base] })
+	queue := make(chan *fnJob, len(order)) // holds every job: the sends never block
+	for _, j := range order {
+		queue <- j
+	}
+	close(queue)
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(order)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range queue {
+				j.rep.ByKind = make(map[string]int)
+				j.loader, j.shared = segs.load(j.base, &j.rep)
+				j.fc = checkFunctionCerts(dir, j.base, j.loader, &j.rep)
+			}
+		}()
+	}
+	wg.Wait()
 
-	report := &CheckReport{ByKind: make(map[string]int)}
 	// Term segments: a per-function <base>.terms.jsonl wins over the
 	// run-wide TERMS.jsonl, so a directory materialized from
 	// self-contained store entries verifies exactly like a freshly
-	// emitted run (and the two layouts may coexist). The shared segment
-	// is loaded on first use: a directory whose functions all carry
-	// their own segment never reads it.
-	var shared *termLoader
-	sharedLoaded := false
-	perFn := map[string]*termLoader{}
-	loaderFor := func(base string) *termLoader {
-		if l, ok := perFn[base]; ok {
-			return l
+	// emitted run (and the two layouts may coexist). The shared
+	// segment's own rejections enter the report where its first user
+	// does.
+	report := &CheckReport{ByKind: make(map[string]int)}
+	sharedReported := false
+	useShared := func() {
+		if !sharedReported {
+			sharedReported = true
+			report.Rejections = append(report.Rejections, segs.sharedRep.Rejections...)
 		}
-		l := loadTermSegmentFile(dir, base+TermsSuffix, report)
-		if l == nil {
-			if !sharedLoaded {
-				shared, sharedLoaded = loadTermSegmentFile(dir, TermsName, report), true
-			}
-			l = shared
-		}
-		perFn[base] = l
-		return l
 	}
+	loaders := map[string]*termLoader{}
 	byFunction := map[string]*fnCerts{}
-	for _, base := range certBases {
-		fc := checkFunctionCerts(dir, base, loaderFor(base), report)
-		if fc != nil {
-			byFunction[fc.name] = fc
+	for _, j := range jobs {
+		if j.shared {
+			useShared()
 		}
+		report.merge(&j.rep)
+		loaders[j.base] = j.loader
+		if j.fc != nil {
+			byFunction[j.fc.name] = j.fc
+		}
+	}
+	loaderFor := func(base string) *termLoader {
+		l, ok := loaders[base]
+		if !ok {
+			var shared bool
+			l, shared = segs.load(base, report)
+			if shared {
+				useShared()
+			}
+			loaders[base] = l
+		}
+		return l
 	}
 
 	// Content-addressed index of verified concrete certificates, for
@@ -222,6 +263,48 @@ func CheckDir(dir string) (*CheckReport, error) {
 		}
 	}
 	return report, nil
+}
+
+// fnJob is one function's certificate check, run by a CheckDir worker
+// into its own partial report.
+type fnJob struct {
+	base   string
+	rep    CheckReport
+	loader *termLoader
+	shared bool // loader is the run-wide segment
+	fc     *fnCerts
+}
+
+// merge adds a partial report's counts and rejections to r.
+func (r *CheckReport) merge(p *CheckReport) {
+	r.Functions += p.Functions
+	r.Queries += p.Queries
+	r.Steps += p.Steps
+	for k, n := range p.ByKind {
+		r.ByKind[k] += n
+	}
+	r.Rejections = append(r.Rejections, p.Rejections...)
+}
+
+// termSegments resolves term segments for CheckDir's workers. The
+// run-wide segment is loaded once, on first use (a directory whose
+// functions all carry their own segment never reads it), into a report
+// of its own.
+type termSegments struct {
+	dir       string
+	once      sync.Once
+	shared    *termLoader
+	sharedRep CheckReport
+}
+
+// load returns base's per-function segment, or else the shared one
+// (shared true).
+func (ts *termSegments) load(base string, report *CheckReport) (l *termLoader, shared bool) {
+	if l := loadTermSegmentFile(ts.dir, base+TermsSuffix, report); l != nil {
+		return l, false
+	}
+	ts.once.Do(func() { ts.shared = loadTermSegmentFile(ts.dir, TermsName, &ts.sharedRep) })
+	return ts.shared, true
 }
 
 func loadJSON(dir, name string, v interface{}, report *CheckReport) bool {

@@ -15,6 +15,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -49,7 +51,7 @@ func e2eConfig(dir string) harness.Config {
 
 // emitProofDir runs a small corpus once with proof emission on and
 // caches the directory for every test in this file.
-func emitProofDir(t *testing.T) (string, *harness.Summary) {
+func emitProofDir(t testing.TB) (string, *harness.Summary) {
 	t.Helper()
 	e2eOnce.Do(func() {
 		dir, err := os.MkdirTemp("", "proofdir")
@@ -282,7 +284,7 @@ type dratCheckpoint struct {
 }
 
 // dratFinals reads the DRAT obligations of a certs file, in file order.
-func dratFinals(t *testing.T, certsPath string) []dratCheckpoint {
+func dratFinals(t testing.TB, certsPath string) []dratCheckpoint {
 	t.Helper()
 	data, err := os.ReadFile(certsPath)
 	if err != nil {
@@ -767,5 +769,115 @@ func TestPerFunctionSegmentsVerify(t *testing.T) {
 	}
 	if both.Queries != before.Queries {
 		t.Errorf("queries differ with empty shared segment present: %d vs %d", both.Queries, before.Queries)
+	}
+}
+
+// TestCheckDirDeterministicAcrossWorkers checks a directory whose traces
+// are tampered in at least three functions, and whose ref certificates
+// resolve across functions, at GOMAXPROCS 1 and 4: the reports must be
+// deep-equal and proofcheck's rendered output byte-identical.
+func TestCheckDirDeterministicAcrossWorkers(t *testing.T) {
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go tool not in PATH")
+	}
+	src, _ := emitProofDir(t)
+	dir := copyProofDir(t, src)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tampered := 0
+	owner := map[string]string{} // certificate key → function
+	var refs [][2]string         // (function, key) of each ref certificate
+	for _, e := range entries {
+		base, ok := strings.CutSuffix(e.Name(), proof.CertsSuffix)
+		if !ok {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, raw := range certValues(inflate(data)) {
+			var q proof.QueryCert
+			if json.Unmarshal(raw, &q) != nil || q.Key == "" {
+				continue
+			}
+			if q.Kind == proof.KindRef {
+				refs = append(refs, [2]string{base, q.Key})
+			} else {
+				owner[q.Key] = base
+			}
+		}
+		path := filepath.Join(dir, base+proof.DratSuffix)
+		data, err = os.ReadFile(path)
+		if err != nil {
+			continue // no Unsat query went to SAT
+		}
+		steps := decodeDrat(data)
+		at := nonRUPFlip(t, steps, dratFinals(t, filepath.Join(dir, e.Name())))
+		if at < 0 {
+			continue
+		}
+		steps[at].lits[0] = -steps[at].lits[0]
+		var buf bytes.Buffer
+		bw := proof.NewBinWriter(&buf)
+		for _, s := range steps {
+			if err := bw.Step(s.sess, s.op, s.lits); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := bw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		tampered++
+	}
+	if tampered < 3 {
+		t.Fatalf("tampered %d traces, want at least 3", tampered)
+	}
+	crossing := 0
+	for _, r := range refs {
+		if fn, ok := owner[r[1]]; ok && fn != r[0] {
+			crossing++
+		}
+	}
+	if crossing == 0 {
+		t.Fatal("no ref certificate resolves in another function")
+	}
+
+	prev := runtime.GOMAXPROCS(1)
+	serial, err := proof.CheckDir(dir)
+	runtime.GOMAXPROCS(4)
+	parallel, perr := proof.CheckDir(dir)
+	runtime.GOMAXPROCS(prev)
+	if err != nil || perr != nil {
+		t.Fatal(err, perr)
+	}
+	if len(serial.Rejections) < tampered {
+		t.Fatalf("%d rejections for %d tampered traces", len(serial.Rejections), tampered)
+	}
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Fatalf("reports differ:\nGOMAXPROCS=1: %+v\nGOMAXPROCS=4: %+v", serial, parallel)
+	}
+
+	bin := filepath.Join(t.TempDir(), "proofcheck")
+	if out, err := exec.Command(goBin, "build", "-o", bin, "repro/cmd/proofcheck").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	render := func(procs string) []byte {
+		cmd := exec.Command(bin, "-v", dir)
+		cmd.Env = append(os.Environ(), "GOMAXPROCS="+procs)
+		out, err := cmd.CombinedOutput()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+			t.Fatalf("proofcheck at GOMAXPROCS=%s: %v, want exit status 1\n%s", procs, err, out)
+		}
+		return out
+	}
+	if one, four := render("1"), render("4"); !bytes.Equal(one, four) {
+		t.Fatalf("proofcheck output differs:\nGOMAXPROCS=1:\n%s\nGOMAXPROCS=4:\n%s", one, four)
 	}
 }

@@ -2,7 +2,7 @@ package proof
 
 import (
 	"fmt"
-	"sort"
+	"math"
 )
 
 // SessionChecker replays one SAT session trace forward, verifying every
@@ -16,65 +16,81 @@ import (
 // used for later propagation; root literals already derived remain
 // logical consequences of the input clauses plus previously verified
 // lemmas, so they are kept (exactly as DRAT checkers do).
+//
+// Layout (after drat-trim): clauses live in one flat arena, watchers
+// carry a blocker literal tested before the clause is read, and strict
+// deletion matches by a commutative hash confirmed literal by literal.
+// Variables are renumbered densely on first sight, so memory grows with
+// the trace, never with the magnitude of a variable index.
 type SessionChecker struct {
-	nvars  int
-	assign []int8 // 1 true, -1 false, 0 unassigned
-	trail  []int32
-	qhead  int
+	dense map[int32]int32 // DIMACS variable → dense index
+	val   []int8          // by internal literal: 1 true, -1 false, 0 unassigned
+	mark  []bool          // by internal literal: in the clause just interned
+	trail []int32
+	qhead int
 
-	clauses []*rclause
-	watches [][]int32 // indexed by internal literal; clause indices
-	byKey   map[string][]int32
+	// arena holds each installed clause as a header word (len<<1 |
+	// deleted) followed by its internal literals; a clause is named by
+	// the offset of its header.
+	arena   []int32
+	watches [][]watcher        // by literal p: clauses watching ¬p
+	byHash  map[uint64][]int32 // clause hash → offsets of live clauses
+	lits    []int32            // the clause just interned
 
 	rootConflict bool
 	rootTrail    int // length of the persistent prefix of trail
 }
 
-type rclause struct {
-	lits    []int32 // internal encoding: 2*var + sign
-	deleted bool
-}
+// watcher is one watch of a clause. blocker is a literal of the clause:
+// while it is true the clause is satisfied and is not read.
+type watcher struct{ cref, blocker int32 }
+
+// maxArena bounds a session's arena so offsets and headers fit int32.
+const maxArena = math.MaxInt32 / 2
 
 // NewSessionChecker returns an empty checker.
 func NewSessionChecker() *SessionChecker {
-	return &SessionChecker{byKey: make(map[string][]int32)}
+	return &SessionChecker{dense: make(map[int32]int32), byHash: make(map[uint64][]int32)}
 }
 
-// internal literal encoding, mirroring DIMACS input: variable v (1-based
-// in DIMACS) becomes 0-based; low bit set means negated.
-func (c *SessionChecker) internLit(d int32) (int32, error) {
-	if d == 0 {
-		return 0, fmt.Errorf("proof: zero literal in clause")
+// intern maps a DIMACS clause into c.lits as internal literals (2*dense
+// variable + sign bit), dropping repeats — clauses are sets. Each
+// literal stays marked until unmark.
+func (c *SessionChecker) intern(dimacs []int32) error {
+	c.lits = c.lits[:0]
+	for _, d := range dimacs {
+		if d == 0 || d == math.MinInt32 {
+			c.unmark()
+			return fmt.Errorf("proof: bad literal %d in clause", d)
+		}
+		v, neg := d, int32(0)
+		if v < 0 {
+			v, neg = -v, 1
+		}
+		x, ok := c.dense[v]
+		if !ok {
+			x = int32(len(c.val) / 2)
+			c.dense[v] = x
+			c.val = append(c.val, 0, 0)
+			c.mark = append(c.mark, false, false)
+			c.watches = append(c.watches, nil, nil)
+		}
+		if l := x<<1 | neg; !c.mark[l] {
+			c.mark[l] = true
+			c.lits = append(c.lits, l)
+		}
 	}
-	v := d
-	neg := int32(0)
-	if v < 0 {
-		v = -v
-		neg = 1
-	}
-	v-- // 0-based
-	for int(v) >= c.nvars {
-		c.assign = append(c.assign, 0)
-		c.watches = append(c.watches, nil, nil)
-		c.nvars++
-	}
-	return v<<1 | neg, nil
+	return nil
 }
 
-func (c *SessionChecker) value(l int32) int8 {
-	a := c.assign[l>>1]
-	if l&1 == 1 {
-		return -a
+func (c *SessionChecker) unmark() {
+	for _, l := range c.lits {
+		c.mark[l] = false
 	}
-	return a
 }
 
 func (c *SessionChecker) enqueue(l int32) {
-	if l&1 == 1 {
-		c.assign[l>>1] = -1
-	} else {
-		c.assign[l>>1] = 1
-	}
+	c.val[l], c.val[l^1] = 1, -1
 	c.trail = append(c.trail, l)
 }
 
@@ -84,147 +100,161 @@ func (c *SessionChecker) propagate() bool {
 	for c.qhead < len(c.trail) {
 		p := c.trail[c.qhead]
 		c.qhead++
-		// watches[p] holds the clauses watching literal ¬p, which p's
-		// assertion has just falsified.
+		// watches[p] holds the clauses watching ¬p, which p's assertion
+		// has just falsified.
 		notP := p ^ 1
 		ws := c.watches[p]
-		j := 0
+		i, j := 0, 0
 	nextWatcher:
-		for i := 0; i < len(ws); i++ {
-			ci := ws[i]
-			cl := c.clauses[ci]
-			if cl.deleted {
-				continue // drop lazily
+		for i < len(ws) {
+			w := ws[i]
+			i++
+			if c.val[w.blocker] == 1 {
+				ws[j] = w
+				j++
+				continue
 			}
-			lits := cl.lits
+			hdr := c.arena[w.cref]
+			if hdr&1 != 0 {
+				continue // deleted: drop lazily
+			}
+			lits := c.arena[w.cref+1 : w.cref+1+hdr>>1]
 			if lits[0] == notP {
-				lits[0], lits[1] = lits[1], lits[0]
+				lits[0], lits[1] = lits[1], notP
 			}
 			first := lits[0]
-			if c.value(first) == 1 {
-				ws[j] = ci
+			if c.val[first] == 1 {
+				ws[j] = watcher{w.cref, first}
 				j++
 				continue
 			}
 			for k := 2; k < len(lits); k++ {
-				if c.value(lits[k]) != -1 {
-					lits[1], lits[k] = lits[k], lits[1]
+				if c.val[lits[k]] != -1 {
+					lits[1], lits[k] = lits[k], notP
 					// The clause now watches lits[1]; index it under the
 					// literal whose assertion falsifies it.
 					nw := lits[1] ^ 1
-					c.watches[nw] = append(c.watches[nw], ci)
+					c.watches[nw] = append(c.watches[nw], watcher{w.cref, first})
 					continue nextWatcher
 				}
 			}
-			ws[j] = ci
+			ws[j] = watcher{w.cref, first}
 			j++
-			if c.value(first) == -1 {
-				for i++; i < len(ws); i++ {
-					ws[j] = ws[i]
-					j++
-				}
+			if c.val[first] == -1 {
+				j += copy(ws[j:], ws[i:])
 				c.watches[p] = ws[:j]
 				c.qhead = len(c.trail)
 				return true
 			}
 			c.enqueue(first)
 		}
-		c.watches[p] = ws[:j]
+		if j < len(ws) {
+			c.watches[p] = ws[:j]
+		}
 	}
 	return false
 }
 
 // backtrack unassigns every literal beyond the persistent root prefix.
 func (c *SessionChecker) backtrack() {
-	for i := len(c.trail) - 1; i >= c.rootTrail; i-- {
-		c.assign[c.trail[i]>>1] = 0
+	for _, l := range c.trail[c.rootTrail:] {
+		c.val[l], c.val[l^1] = 0, 0
 	}
 	c.trail = c.trail[:c.rootTrail]
 	c.qhead = c.rootTrail
 }
 
-func clauseKey(lits []int32) string {
-	s := append([]int32(nil), lits...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	b := make([]byte, 0, len(s)*5)
-	for _, l := range s {
-		b = append(b, byte(l), byte(l>>8), byte(l>>16), byte(l>>24), ',')
+// clauseHash is a commutative multiset hash of a clause: the sum of
+// a mixer over its literals, so literal order does not matter.
+func clauseHash(lits []int32) uint64 {
+	var h uint64
+	for _, l := range lits {
+		x := uint64(l) + 0x9e3779b97f4a7c15
+		x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+		x = (x ^ x>>27) * 0x94d049bb133111eb
+		h += x ^ x>>31
 	}
-	return string(b)
+	return h
 }
 
 // AddInput adds an original clause (no RUP obligation) to the live set.
 func (c *SessionChecker) AddInput(dimacs []int32) error {
-	lits, err := c.internAll(dimacs)
-	if err != nil {
+	if err := c.intern(dimacs); err != nil {
 		return err
 	}
-	c.install(lits)
-	return nil
+	c.unmark()
+	return c.install(c.lits)
 }
 
 // AddLearnt verifies the clause by RUP against the current live set and,
 // on success, adds it.
 func (c *SessionChecker) AddLearnt(dimacs []int32) error {
-	lits, err := c.internAll(dimacs)
-	if err != nil {
+	if err := c.intern(dimacs); err != nil {
 		return err
 	}
-	if !c.rup(lits) {
+	c.unmark()
+	if !c.rup(c.lits) {
 		return fmt.Errorf("proof: learnt clause %v is not RUP", dimacs)
 	}
-	c.install(lits)
-	return nil
+	return c.install(c.lits)
 }
 
 // Delete removes a clause from the live set. The clause must be present
 // (strict matching catches tampered traces).
 func (c *SessionChecker) Delete(dimacs []int32) error {
-	lits, err := c.internAll(dimacs)
-	if err != nil {
+	if err := c.intern(dimacs); err != nil {
 		return err
 	}
-	key := clauseKey(lits)
-	ids := c.byKey[key]
-	if len(ids) == 0 {
-		return fmt.Errorf("proof: delete of absent clause %v", dimacs)
+	defer c.unmark()
+	h := clauseHash(c.lits)
+	refs := c.byHash[h]
+	for i := len(refs) - 1; i >= 0; i-- {
+		if c.sameAsMarked(refs[i]) {
+			c.arena[refs[i]] |= 1
+			if len(refs) == 1 {
+				delete(c.byHash, h)
+			} else {
+				c.byHash[h] = append(refs[:i], refs[i+1:]...)
+			}
+			return nil
+		}
 	}
-	ci := ids[len(ids)-1]
-	c.byKey[key] = ids[:len(ids)-1]
-	c.clauses[ci].deleted = true
-	return nil
+	return fmt.Errorf("proof: delete of absent clause %v", dimacs)
+}
+
+// sameAsMarked reports whether clause cref holds exactly the marked
+// literals of c.lits. Both are repeat-free, so equal length plus
+// containment is set equality.
+func (c *SessionChecker) sameAsMarked(cref int32) bool {
+	n := c.arena[cref] >> 1
+	if int(n) != len(c.lits) {
+		return false
+	}
+	for _, l := range c.arena[cref+1 : cref+1+n] {
+		if !c.mark[l] {
+			return false
+		}
+	}
+	return true
 }
 
 // CheckFinal verifies that the clause is RUP against the current live
 // set — the per-query Unsat obligation (empty = global refutation) —
 // and, on success, installs it as a proven lemma.
 func (c *SessionChecker) CheckFinal(dimacs []int32) error {
-	lits, err := c.internAll(dimacs)
-	if err != nil {
+	if err := c.intern(dimacs); err != nil {
 		return err
 	}
-	if !c.rup(lits) {
+	c.unmark()
+	if !c.rup(c.lits) {
 		return fmt.Errorf("proof: final clause %v is not RUP", dimacs)
 	}
-	c.install(lits)
-	return nil
+	return c.install(c.lits)
 }
 
 // RootConflict reports whether the live set has been refuted at the root
 // level (the empty clause is derivable by propagation alone).
 func (c *SessionChecker) RootConflict() bool { return c.rootConflict }
-
-func (c *SessionChecker) internAll(dimacs []int32) ([]int32, error) {
-	lits := make([]int32, len(dimacs))
-	for i, d := range dimacs {
-		l, err := c.internLit(d)
-		if err != nil {
-			return nil, err
-		}
-		lits[i] = l
-	}
-	return lits, nil
-}
 
 // rup reports whether asserting the negation of lits propagates to a
 // conflict. The trail is restored to the persistent root prefix.
@@ -232,17 +262,19 @@ func (c *SessionChecker) rup(lits []int32) bool {
 	if c.rootConflict {
 		return true
 	}
+	conflict := false
 	for _, l := range lits {
-		if c.value(l) == 1 {
-			return true // some literal already true at root: ¬C conflicts immediately
+		if c.val[l] == 1 {
+			conflict = true // ¬C contradicts the root (or itself)
+			break
 		}
-	}
-	for _, l := range lits {
-		if c.value(l) == 0 {
+		if c.val[l] == 0 {
 			c.enqueue(l ^ 1)
 		}
 	}
-	conflict := c.propagate()
+	if !conflict {
+		conflict = c.propagate()
+	}
 	c.backtrack()
 	return conflict
 }
@@ -250,57 +282,42 @@ func (c *SessionChecker) rup(lits []int32) bool {
 // install adds a clause to the live set and extends the persistent root
 // state: empty clauses set the root conflict, unit (or effectively unit)
 // clauses are propagated at root.
-func (c *SessionChecker) install(lits []int32) {
-	ci := int32(len(c.clauses))
-	c.clauses = append(c.clauses, &rclause{lits: lits})
-	key := clauseKey(lits)
-	c.byKey[key] = append(c.byKey[key], ci)
-	if c.rootConflict {
-		return
+func (c *SessionChecker) install(lits []int32) error {
+	if len(c.arena)+1+len(lits) > maxArena {
+		return fmt.Errorf("proof: session exceeds %d literals", maxArena)
 	}
-	// Classify under the current root assignment.
-	var nonFalse []int32
-	sat := false
-	for _, l := range lits {
-		switch c.value(l) {
+	cref := int32(len(c.arena))
+	c.arena = append(append(c.arena, int32(len(lits))<<1), lits...)
+	h := clauseHash(lits)
+	c.byHash[h] = append(c.byHash[h], cref)
+	if c.rootConflict {
+		return nil
+	}
+	// Classify under the current root assignment, moving the non-false
+	// literals to the front.
+	cl := c.arena[cref+1:]
+	n := 0
+	for i, l := range cl {
+		switch c.val[l] {
 		case 1:
-			sat = true
+			return nil // root-satisfied: root assignments persist, so it never propagates
 		case 0:
-			nonFalse = append(nonFalse, l)
+			cl[n], cl[i] = l, cl[n]
+			n++
 		}
 	}
-	switch {
-	case sat:
-		// Root-satisfied: can never propagate (root assignments persist).
-	case len(nonFalse) == 0:
+	switch n {
+	case 0:
 		c.rootConflict = true
-	case len(nonFalse) == 1:
-		c.enqueue(nonFalse[0])
+	case 1:
+		c.enqueue(cl[0])
 		if c.propagate() {
 			c.rootConflict = true
 		}
 		c.rootTrail = len(c.trail)
 	default:
-		// Watch two currently-non-false literals: reorder so they are in
-		// front, then attach.
-		cl := c.clauses[ci]
-		c.moveToFront(cl.lits, nonFalse[0], nonFalse[1])
-		c.watches[cl.lits[0]^1] = append(c.watches[cl.lits[0]^1], ci)
-		c.watches[cl.lits[1]^1] = append(c.watches[cl.lits[1]^1], ci)
+		c.watches[cl[0]^1] = append(c.watches[cl[0]^1], watcher{cref, cl[1]})
+		c.watches[cl[1]^1] = append(c.watches[cl[1]^1], watcher{cref, cl[0]})
 	}
-}
-
-func (c *SessionChecker) moveToFront(lits []int32, a, b int32) {
-	for i, l := range lits {
-		if l == a {
-			lits[0], lits[i] = lits[i], lits[0]
-			break
-		}
-	}
-	for i := 1; i < len(lits); i++ {
-		if lits[i] == b {
-			lits[1], lits[i] = lits[i], lits[1]
-			break
-		}
-	}
+	return nil
 }

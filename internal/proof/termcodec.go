@@ -2,6 +2,7 @@ package proof
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/term"
 )
@@ -50,7 +51,10 @@ func decodeNode(ctx *term.Context, i int, n *TNode, resolved []*term.Term) (*ter
 // into one term context. Nodes decode in a monotonic
 // prefix (ids are topological), memoized across every function the
 // checker replays, so the segment is read and decoded once per CheckDir.
+// It is safe for concurrent use: CheckDir's workers share the run-wide
+// segment, and decoded terms are immutable once Term returns them.
 type termLoader struct {
+	mu    sync.Mutex
 	nodes []TNode
 	ctx   *term.Context
 	terms []*term.Term
@@ -67,6 +71,8 @@ func (l *termLoader) Term(i int) (*term.Term, error) {
 	if i < 0 || i >= len(l.nodes) {
 		return nil, fmt.Errorf("term id %d out of range (table has %d nodes)", i, len(l.nodes))
 	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	for ; l.next <= i; l.next++ {
 		t, err := decodeNode(l.ctx, l.next, &l.nodes[l.next], l.terms)
 		if err != nil {
