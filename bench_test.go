@@ -975,7 +975,7 @@ func TestBenchPR6JSON(t *testing.T) {
 //     interleaved runs. Cubing converts the monster-query functions and
 //     20-35 individual queries per run, which is the stable signal;
 //   - tight_budget_cube_proofs: the cube-on tight leg re-run with
-//     certificate emission — every cube-composed certificate must verify
+//     certificate emission — every cube-escalated certificate must verify
 //     with zero proofcheck rejections.
 //
 // Gated behind WRITE_BENCH_JSON like the other artifact writers.
@@ -1087,7 +1087,7 @@ func TestBenchPR9JSON(t *testing.T) {
 			tightOn.TailSMTCount, tightOff.TailSMTCount)
 	}
 
-	// Certification leg: cube-composed certificates verify from scratch.
+	// Certification leg: cube-escalated certificates verify from scratch.
 	proofDir := t.TempDir()
 	tightProofs := measure(tight, false, false, proofDir)
 	report, err := proof.CheckDir(proofDir)

@@ -136,11 +136,7 @@ func run() int {
 			break
 		}
 		if !*noPortfolio {
-			// Single-file mode has no worker pool: every slot beyond the
-			// one running the pipeline is idle capacity cube workers may
-			// steal.
-			copts.Portfolio = smt.NewPortfolio(runtime.GOMAXPROCS(0))
-			copts.Portfolio.Acquire() // the pipeline's own slot
+			copts.Portfolio = &smt.Portfolio{}
 		}
 		code = validateFile(flag.Arg(0), copts, budget, *emitProofs, tracer, *phaseReport)
 	case "fig6", "fig7", "eval":

@@ -56,10 +56,9 @@ type Options struct {
 	// backend (subsumption, vivification, bounded variable elimination;
 	// ablation — on by default, see smt.Solver.Inprocess).
 	DisableInprocess bool
-	// Portfolio, when non-nil, is the shared worker-slot pool that runs
-	// stuck queries up the probe → cube escalation ladder, conquering
-	// cubes on idle workers (see smt.Portfolio). The harness injects one
-	// pool per corpus run.
+	// Portfolio, when non-nil, runs stuck queries up the probe → cube
+	// escalation ladder with its probe budgets (see smt.Portfolio; the
+	// zero value takes the defaults). The harness injects one per run.
 	Portfolio *smt.Portfolio
 	// DisableCube turns off the cube-and-conquer stage of the escalation
 	// ladder (ablation — on by default whenever a Portfolio is attached;

@@ -61,13 +61,8 @@ type Config struct {
 	// solving. Ignored when Checker.VCCache is already set by the caller.
 	DisableVCCache bool
 	// DisablePortfolio turns off the probe/cube escalation ladder
-	// (ablation). By default Run creates one smt.Portfolio with a token
-	// per worker and attaches it to every checker: a worker holds its
-	// token while validating, so the tokens up for grabs are exactly the
-	// idle workers' — cube workers only ever spend capacity the run was
-	// wasting (the end-of-corpus tail, where the last stragglers hold the
-	// wall clock while the other workers sit idle). Ignored when
-	// Checker.Portfolio is already set.
+	// (ablation). By default every checker runs the ladder with its
+	// default budgets. Ignored when Checker.Portfolio is already set.
 	DisablePortfolio bool
 	// ProofDir, when non-empty, makes every validated function emit proof
 	// certificates into that directory: query certificates plus DRAT
@@ -453,9 +448,9 @@ func (s *Summary) RenderStats(w io.Writer) {
 			extend, slow, overrun, nosplit, watermark, window, deadline)
 	}
 	if s.SMTStats.CubeEscalations > 0 {
-		fmt.Fprintf(w, "Cube: %d escalations, %d cubes (%d refuted, %d sat), %d stolen-slot conquests\n",
+		fmt.Fprintf(w, "Cube: %d escalations, %d cubes (%d refuted, %d sat)\n",
 			s.SMTStats.CubeEscalations, s.SMTStats.CubesGenerated,
-			s.SMTStats.CubesRefuted, s.SMTStats.CubesSat, s.SMTStats.CubeSteals)
+			s.SMTStats.CubesRefuted, s.SMTStats.CubesSat)
 	}
 	if h := s.Metrics.Hist("smt.query"); h.Count > 0 {
 		fmt.Fprintf(w, "SMT latency: p50 %s, p90 %s, p99 %s, max %s over %d observed queries\n",

@@ -44,9 +44,9 @@ type PoolConfig struct {
 	// Queue is the job-queue capacity (0 = unbuffered handoff). A full
 	// queue makes TrySubmit return false.
 	Queue int
-	// Portfolio, when non-nil, is used instead of a pool-owned one (the
-	// caller tunes probe budgets). With DisablePortfolio unset and this
-	// nil, the pool creates one token per worker.
+	// Portfolio, when non-nil, sets the escalation ladder's probe budgets
+	// for every job. With DisablePortfolio unset and this nil, jobs run
+	// the ladder with its default budgets.
 	Portfolio *smt.Portfolio
 	// DisablePortfolio turns the probe/cube escalation ladder off
 	// (ablation).
@@ -61,7 +61,7 @@ func NewPool(cfg PoolConfig) *Pool {
 	}
 	pf := cfg.Portfolio
 	if pf == nil && !cfg.DisablePortfolio {
-		pf = smt.NewPortfolio(workers)
+		pf = &smt.Portfolio{}
 	}
 	p := &Pool{workers: workers, pf: pf, jobs: make(chan Job, cfg.Queue)}
 	for w := 0; w < workers; w++ {
@@ -81,10 +81,6 @@ func NewPool(cfg PoolConfig) *Pool {
 
 // Workers returns the pool size.
 func (p *Pool) Workers() int { return p.workers }
-
-// Portfolio returns the racing pool shared by the workers (nil when
-// racing is disabled).
-func (p *Pool) Portfolio() *smt.Portfolio { return p.pf }
 
 // Submit enqueues j, blocking while the queue is full. It returns false
 // (dropping j) once the pool is closed.
@@ -183,15 +179,7 @@ func (p *Pool) runJob(j Job, scratch *smt.Scratch) {
 	if poolJobHook != nil {
 		poolJobHook(j)
 	}
-	// Hold this worker's portfolio token for the duration of the
-	// validation: tokens in the pool are idle workers.
-	if p.pf != nil {
-		p.pf.Acquire()
-	}
 	row, m := validateOne(j)
-	if p.pf != nil {
-		p.pf.Release()
-	}
 	if j.Done != nil {
 		j.Done(JobResult{Index: j.Index, Row: row, Metrics: m})
 	}

@@ -5,15 +5,15 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/corpus"
 	"repro/internal/proof"
 	"repro/internal/smt"
 	"repro/internal/tv"
 )
 
-// TestPortfolioRowsMatchAblation: the escalation ladder, with cube
-// workers on idle worker slots, is a pure accelerator — the outcome table
-// must be byte-identical to a run with the ladder and inprocessing
-// disabled. After=1 and CubeAfter=1 escalate every query that survives a
+// TestPortfolioRowsMatchAblation: the escalation ladder is a pure
+// accelerator — the outcome table must be byte-identical to a run with
+// the ladder and inprocessing disabled. After=1 and CubeAfter=1 escalate every query that survives a
 // single probe, maximizing the chance a cube conquest supplies the
 // verdict.
 func TestPortfolioRowsMatchAblation(t *testing.T) {
@@ -25,12 +25,9 @@ func TestPortfolioRowsMatchAblation(t *testing.T) {
 		DisablePortfolio: true,
 		Checker:          core.Options{DisableInprocess: true},
 	})
-	pf := smt.NewPortfolio(4)
-	pf.After = 1
-	pf.CubeAfter = 1
 	laddered := Run(Config{
 		Profile: parallelProfile, Budget: budget, Workers: 4,
-		Checker: core.Options{Portfolio: pf},
+		Checker: core.Options{Portfolio: &smt.Portfolio{After: 1, CubeAfter: 1}},
 	})
 
 	if len(baseline.Rows) != len(laddered.Rows) {
@@ -51,37 +48,66 @@ func TestPortfolioRowsMatchAblation(t *testing.T) {
 	if !strings.Contains(stats.String(), "Ladder: ") {
 		t.Errorf("RenderStats shows no Ladder line for an escalating run:\n%s", stats.String())
 	}
-	t.Logf("escalations=%d steals=%d", laddered.SMTStats.CubeEscalations, laddered.SMTStats.CubeSteals)
+	t.Logf("escalations=%d", laddered.SMTStats.CubeEscalations)
 }
 
 // TestPortfolioProofsVerify: a proof-emitting run with aggressive
 // escalation must produce a certificate directory the independent checker
-// accepts wholesale — cube-composed traces included.
+// accepts wholesale, with rows identical to the ladder-off ablation. The
+// second leg has more workers than functions, so workers sit idle while
+// cubes are conquered: every conquest must still run in place.
 func TestPortfolioProofsVerify(t *testing.T) {
-	dir := t.TempDir()
-	pf := smt.NewPortfolio(4)
-	pf.After = 1
-	pf.CubeAfter = 1
-	sum := Run(Config{
-		Profile: parallelProfile, Budget: tv.Budget{MaxTermNodes: 4_000_000},
-		Workers:  4,
-		Checker:  core.Options{Portfolio: pf},
-		ProofDir: dir,
-	})
-	if sum.ProofErr != nil {
-		t.Fatalf("proof emission failed: %v", sum.ProofErr)
-	}
-	report, err := proof.CheckDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range report.Rejections {
-		t.Errorf("rejection: %s", r)
-	}
-	if report.ByKind[proof.KindDRAT] == 0 {
-		t.Error("no DRAT certificates emitted")
-	}
-	if report.Witnesses == 0 {
-		t.Error("no bisimulation witnesses verified")
+	small := parallelProfile
+	small.Functions = 3
+	for _, leg := range []struct {
+		name    string
+		profile corpus.Profile
+		workers int
+	}{
+		{"busy", parallelProfile, 4},
+		{"idle", small, 4},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			budget := tv.Budget{MaxTermNodes: 4_000_000}
+			dir := t.TempDir()
+			sum := Run(Config{
+				Profile: leg.profile, Budget: budget, Workers: leg.workers,
+				Checker:  core.Options{Portfolio: &smt.Portfolio{After: 1, CubeAfter: 1}},
+				ProofDir: dir,
+			})
+			if sum.ProofErr != nil {
+				t.Fatalf("proof emission failed: %v", sum.ProofErr)
+			}
+			if sum.SMTStats.CubeEscalations == 0 {
+				t.Error("no query escalated: the ladder never engaged")
+			}
+			report, err := proof.CheckDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range report.Rejections {
+				t.Errorf("rejection: %s", r)
+			}
+			if report.ByKind[proof.KindDRAT] == 0 {
+				t.Error("no DRAT certificates emitted")
+			}
+			if report.Witnesses == 0 {
+				t.Error("no bisimulation witnesses verified")
+			}
+			ablation := Run(Config{
+				Profile: leg.profile, Budget: budget, Workers: leg.workers,
+				DisablePortfolio: true,
+			})
+			if len(ablation.Rows) != len(sum.Rows) {
+				t.Fatalf("row counts differ: %d vs %d", len(ablation.Rows), len(sum.Rows))
+			}
+			for i := range ablation.Rows {
+				b, r := ablation.Rows[i], sum.Rows[i]
+				if b.Fn != r.Fn || b.Class != r.Class || b.CodeSize != r.CodeSize {
+					t.Errorf("row %d differs: ablation {%s %v %d} vs ladder {%s %v %d}",
+						i, b.Fn, b.Class, b.CodeSize, r.Fn, r.Class, r.CodeSize)
+				}
+			}
+		})
 	}
 }

@@ -18,13 +18,11 @@ import (
 //	's' uvarint(index)          switch the current session. The first
 //	                            record with an index opens that session;
 //	                            a repeated index resumes it. Indices may
-//	                            first appear in any order: session numbers
-//	                            are assigned when a session is created,
-//	                            but traces are written when a query is
-//	                            decided, and a cube conquest's session
-//	                            (created later) can flush before the
-//	                            incremental session it split (created
-//	                            first, flushed lazily) writes anything.
+//	                            first appear in any order: traces written
+//	                            by older builds, whose stolen-slot cube
+//	                            conquests could flush a later session
+//	                            before the incremental session they split,
+//	                            may still sit in result stores.
 //	'i'/'l'/'d' uvarint(n) lits step of the current session (input, learnt,
 //	                            deleted clause), n delta-coded literals.
 //	'c' crc32                   trailer, the last record: the big-endian

@@ -50,25 +50,16 @@
 //     reference") and rejects the run if none exists or the verdicts
 //     disagree. A cache hit is never silently certified.
 //
-// Cube-and-conquer verdicts need no certificate kind of their own.
-// When cubes are conquered on stolen portfolio slots and every cube
-// comes back Unsat, the solver composes an ordinary DRAT session: the
-// snapshot clauses and activation units appear once as inputs, each
-// cube's learnt clauses are replayed in order followed by the negation
-// of that cube (RUP, because the cube's assumptions acted as
-// decisions), and the splitting tree is collapsed by post-order
-// prefix-negation clauses that are each RUP from their two children,
-// ending in the empty clause. When every slot is busy the conquest
-// instead runs in place on the query's own solver: each cube is solved
+// Cube-and-conquer verdicts need no certificate kind of their own. The
+// conquest runs in place on the query's own solver: each cube is solved
 // under the query's assumptions extended with the cube's literals, and
 // each refutation is learned back into the session log as the clause
-// ¬assumptions ∨ ¬cube — RUP at that log position for the same reason —
-// so the collapse clauses land on the query's ordinary final obligation
-// and the certificate is indistinguishable from a solo session's. In
-// both shapes the checker verifies the result exactly like any other
-// "drat" certificate — dropping any cube's trace makes its negation
-// clause non-RUP and the session is rejected — so cubing adds nothing
-// to the trust base.
+// ¬assumptions ∨ ¬cube — RUP at that log position, because the cube's
+// assumptions acted as decisions. The splitting tree is then collapsed
+// by post-order prefix-negation clauses, each RUP from its two
+// children's clauses, down to the query's ordinary final obligation, so
+// the certificate is indistinguishable from a solo session's and cubing
+// adds nothing to the trust base.
 package proof
 
 import (

@@ -98,8 +98,8 @@ func TestCompactionPreservesSearch(t *testing.T) {
 	if a.NumClauses() != b.NumClauses() {
 		t.Fatalf("NumClauses %d with compaction, %d without", a.NumClauses(), b.NumClauses())
 	}
-	na, ca := a.Snapshot(true)
-	nb, cb := b.Snapshot(true)
+	na, ca := a.Snapshot()
+	nb, cb := b.Snapshot()
 	if na != nb || !reflect.DeepEqual(ca, cb) {
 		t.Fatal("Snapshot differs between the twins")
 	}

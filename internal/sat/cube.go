@@ -11,9 +11,9 @@ import "sort"
 // propagates the most on both polarities, and the 2^k leaves of the
 // resulting decision tree become independent subproblems ("cubes") solved
 // under assumptions. A satisfiable cube satisfies the whole instance;
-// refuting every cube refutes it, and the per-cube DRAT traces compose
-// into one certificate (ComposeCubeProof) the unchanged RUP checker
-// verifies.
+// refuting every cube refutes it. The conquering solver learns each
+// refuted cube's negation and then the collapse clauses of the tree's
+// internal nodes, so its own DRAT log carries the refutation.
 //
 // The cuber is deterministic for a fixed seed: candidate scores are
 // computed from the clause set alone and ties are broken by a seeded
@@ -32,7 +32,7 @@ type CubeOptions struct {
 }
 
 // CubeSet is the output of BuildCubes: the leaves of the cube tree in
-// depth-first order, plus the tree structure the proof composition needs.
+// depth-first order, plus the tree structure the refutation needs.
 type CubeSet struct {
 	// Vars are the chosen branching variables, root split first.
 	Vars []int
@@ -44,12 +44,12 @@ type CubeSet struct {
 	// root (the empty prefix) excluded. For every internal node p with
 	// branch literal d, the clause ¬p is RUP once the clauses ¬(p∧d) and
 	// ¬(p∧¬d) of its two children are present — the collapse steps that
-	// let the composed certificate derive the empty clause at the root.
+	// derive the empty clause at the root once every cube is refuted.
 	Internal [][]Lit
 }
 
 // splitmix64 is the SplitMix64 mixing function — a cheap, well-distributed
-// deterministic hash used for tie-breaking and seed derivation.
+// deterministic hash used for tie-breaking.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x ^= x >> 30
@@ -59,10 +59,6 @@ func splitmix64(x uint64) uint64 {
 	x ^= x >> 31
 	return x
 }
-
-// Splitmix64 exposes the mixer for callers deriving per-index solver
-// seeds (cube workers) deterministically.
-func Splitmix64(x uint64) uint64 { return splitmix64(x) }
 
 // BuildCubes runs the lookahead cuber over an instance exported by
 // Solver.Snapshot (clauses over nvars variables) plus extra unit literals
@@ -198,7 +194,7 @@ func BuildCubes(nvars int, clauses [][]Lit, units []Lit, opt CubeOptions) *CubeS
 	// A prefix whose unit-propagation closure conflicts (or that branches
 	// on an already-falsified literal) collapses into a leaf right there —
 	// the conquering solver refutes it in one cheap conflict, and the
-	// composition needs a clause for every leaf, so it is still emitted.
+	// collapse needs a clause for every leaf, so it is still emitted.
 	cs := &CubeSet{Vars: vars}
 	prefix := make([]Lit, 0, len(vars))
 	var dfs func(depth int)
@@ -237,74 +233,4 @@ func BuildCubes(nvars int, clauses [][]Lit, units []Lit, opt CubeOptions) *CubeS
 		return nil
 	}
 	return cs
-}
-
-// CubeTrace is one conquering solver's contribution to a composed
-// certificate: its proof log, the cubes it refuted in verdict order, and
-// for each the log length at the moment of the verdict — the position at
-// which the cube's negation clause becomes RUP.
-type CubeTrace struct {
-	Log   *ProofLog
-	Cubes [][]Lit
-	Marks []int
-}
-
-// ComposeCubeProof assembles one self-contained refutation trace from the
-// per-cube traces of an all-cubes-unsat verdict:
-//
-//  1. the snapshot clauses and activation units, logged once as inputs
-//     (every conquering solver imported this exact sequence);
-//  2. each trace's learnt and delete steps — its own input steps are
-//     skipped, they duplicate (1) — with the negation clause ¬C of each
-//     refuted cube C appended at its verdict mark. ¬C is RUP there: a
-//     CDCL refutation under assumptions means unit propagation from the
-//     cube literals over the clauses live at the verdict reaches a
-//     conflict. RUP is monotone under added clauses, so interleaving the
-//     other workers' clauses preserves every step;
-//  3. the internal-node collapse clauses in post-order — each RUP from
-//     its two children's clauses — down to the root, whose two child
-//     clauses are complementary units: the empty clause is RUP, which is
-//     exactly the final obligation the unchanged checker discharges.
-//
-// Deletions are safe to interleave: a conquering solver only ever deletes
-// its own learnt clauses, and the checker's LIFO multiset matching pairs
-// each deletion with that solver's copy, never another's.
-func ComposeCubeProof(clauses [][]Lit, units []Lit, traces []CubeTrace, internal [][]Lit) *ProofLog {
-	out := &ProofLog{}
-	for _, cl := range clauses {
-		out.append(OpInput, cl)
-	}
-	for _, u := range units {
-		out.append(OpInput, []Lit{u})
-	}
-	var neg []Lit
-	negate := func(c []Lit) []Lit {
-		neg = neg[:0]
-		for _, l := range c {
-			neg = append(neg, l.Not())
-		}
-		return neg
-	}
-	for _, tr := range traces {
-		n := tr.Log.Len()
-		j := 0
-		for i := 0; i <= n; i++ {
-			for j < len(tr.Marks) && tr.Marks[j] == i {
-				out.append(OpLearn, negate(tr.Cubes[j]))
-				j++
-			}
-			if i == n {
-				break
-			}
-			op, lits := tr.Log.Step(i)
-			if op == OpInput {
-				continue
-			}
-			out.append(op, lits)
-		}
-	}
-	for _, p := range internal {
-		out.append(OpLearn, negate(p))
-	}
-	return out
 }

@@ -4,17 +4,14 @@ package sat_test
 // partition the search space (a Sat cube ⇔ the instance is Sat, all
 // cubes Unsat ⇔ the instance is Unsat, cross-checked against brute
 // force), the cuber must be deterministic for a fixed seed, and every
-// all-cubes-unsat verdict's composed certificate must replay through the
-// independent RUP checker — including a tamper check that dropping one
-// cube's trace is rejected.
+// all-cubes-unsat verdict conquered in place must leave a proof log
+// whose final obligation replays through the independent RUP checker.
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
-	"repro/internal/proof"
 	"repro/internal/sat"
 )
 
@@ -35,37 +32,35 @@ func litsOf(clauses [][]int32) [][]sat.Lit {
 	return out
 }
 
-// conquer mirrors the smt layer's cube worker: one logged solver imports
-// the instance once and drains every cube under assumptions, recording
-// the trace mark at each refutation. Returns the Sat-winning cube index
-// (-1 if none) and the worker's composed-trace contribution.
-func conquer(t *testing.T, nvars int, clauses [][]sat.Lit, units []sat.Lit, cs *sat.CubeSet) (int, sat.CubeTrace) {
+// conquerInPlace mirrors the smt layer's cube conquest on the logged
+// solver s that holds the instance: each cube is solved under assumps
+// plus the cube, each refutation is learned back as ¬assumps ∨ ¬cube,
+// and once every cube is refuted the internal nodes collapse the same
+// way down to ¬assumps. Returns the Sat-winning cube index, or -1.
+func conquerInPlace(t *testing.T, s *sat.Solver, assumps []sat.Lit, cs *sat.CubeSet) int {
 	t.Helper()
-	w := sat.New()
-	w.LBD = true
-	w.Proof = &sat.ProofLog{}
-	for v := 0; v < nvars; v++ {
-		w.NewVar()
+	negation := func(cube []sat.Lit) []sat.Lit {
+		var neg []sat.Lit
+		for _, l := range append(append([]sat.Lit(nil), assumps...), cube...) {
+			neg = append(neg, l.Not())
+		}
+		return neg
 	}
-	for _, cl := range clauses {
-		w.AddClause(cl...)
-	}
-	for _, u := range units {
-		w.AddClause(u)
-	}
-	tr := sat.CubeTrace{Log: w.Proof}
 	for i, cube := range cs.Cubes {
-		switch w.Solve(cube...) {
+		switch s.Solve(append(append([]sat.Lit(nil), assumps...), cube...)...) {
 		case sat.Sat:
-			return i, tr
+			return i
 		case sat.Unsat:
-			tr.Cubes = append(tr.Cubes, cube)
-			tr.Marks = append(tr.Marks, w.Proof.Len())
+			s.LearnClause(negation(cube)...)
 		default:
 			t.Fatalf("cube %d: Unknown verdict with no budget set", i)
 		}
 	}
-	return -1, tr
+	for _, p := range cs.Internal {
+		s.LearnClause(negation(p)...)
+	}
+	s.LearnClause(negation(nil)...)
+	return -1
 }
 
 // random3CNF generates a random 3-CNF near the satisfiability threshold:
@@ -88,34 +83,6 @@ func random3CNF(rng *rand.Rand, nvars int) [][]int32 {
 	return clauses
 }
 
-// replayErr replays a composed trace and the final empty-clause
-// obligation, returning the first rejection instead of failing the test.
-func replayErr(log *sat.ProofLog) error {
-	ck := proof.NewSessionChecker()
-	for i := 0; i < log.Len(); i++ {
-		op, lits := log.Step(i)
-		d := make([]int32, len(lits))
-		for j, l := range lits {
-			d[j] = dimacs(l)
-		}
-		var err error
-		switch op {
-		case sat.OpInput:
-			err = ck.AddInput(d)
-		case sat.OpLearn:
-			err = ck.AddLearnt(d)
-		case sat.OpDelete:
-			err = ck.Delete(d)
-		default:
-			return fmt.Errorf("step %d: unknown opcode %q", i, op)
-		}
-		if err != nil {
-			return fmt.Errorf("step %d (op %q): %w", i, op, err)
-		}
-	}
-	return ck.CheckFinal(nil)
-}
-
 // TestCubeDeterministic: the cuber is a pure function of (instance, seed).
 func TestCubeDeterministic(t *testing.T) {
 	nvars, clauses := pigeonhole(6, 5)
@@ -134,24 +101,37 @@ func TestCubeDeterministic(t *testing.T) {
 	}
 }
 
-// TestDifferentialCubeCompose: seeded random CNFs are cubed and
-// conquered; verdicts must match brute force, and every all-cubes-unsat
-// run's composed certificate must be RUP-verified end to end.
-func TestDifferentialCubeCompose(t *testing.T) {
+// TestDifferentialCubeInPlace: seeded random CNFs are cubed and
+// conquered in place, half of them under an activation assumption (every
+// clause gated by ¬act, as incremental queries are). Verdicts must match
+// brute force, and every all-cubes-unsat run's proof log must replay
+// with its final obligation — the empty clause, or ¬act — RUP at the end.
+func TestDifferentialCubeInPlace(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xC0BE))
 	cubed, refuted := 0, 0
 	for iter := 0; iter < 300; iter++ {
 		nvars := 5 + rng.Intn(4)
 		clauses := random3CNF(rng, nvars)
-		lits := litsOf(clauses)
-		want := bruteForce(nvars, clauses, nil)
-		cs := sat.BuildCubes(nvars, lits, nil, sat.CubeOptions{MaxVars: 2, Seed: uint64(iter + 1)})
+		var assumps []sat.Lit
+		var final, wantUnder []int32
+		if iter%2 == 1 {
+			act := int32(nvars + 1)
+			for i, cl := range clauses {
+				clauses[i] = append(cl, -act)
+			}
+			nvars++
+			assumps = []sat.Lit{sat.MkLit(int(act-1), false)}
+			final, wantUnder = []int32{-act}, []int32{act}
+		}
+		want := bruteForce(nvars, clauses, wantUnder)
+		cs := sat.BuildCubes(nvars, litsOf(clauses), assumps, sat.CubeOptions{MaxVars: 2, Seed: uint64(iter + 1)})
 		if cs == nil {
 			continue // UP/lookahead-refuted or too small to split: fine
 		}
 		cubed++
-		winner, tr := conquer(t, nvars, lits, nil, cs)
-		if winner >= 0 {
+		s := newLoggedSolver(nvars, clauses)
+		s.LBD = true
+		if winner := conquerInPlace(t, s, assumps, cs); winner >= 0 {
 			if !want {
 				t.Fatalf("iter %d: cube %v satisfiable but brute force says unsat\ncnf: %v",
 					iter, cs.Cubes[winner], clauses)
@@ -163,143 +143,14 @@ func TestDifferentialCubeCompose(t *testing.T) {
 				iter, len(cs.Cubes), clauses)
 		}
 		refuted++
-		log := sat.ComposeCubeProof(lits, nil, []sat.CubeTrace{tr}, cs.Internal)
-		if err := replayErr(log); err != nil {
-			t.Fatalf("iter %d: composed certificate rejected: %v\ncnf: %v", iter, err, clauses)
+		ck := replayTrace(t, s.Proof, s.Proof.Len())
+		if err := ck.CheckFinal(final); err != nil {
+			t.Fatalf("iter %d: final obligation %v not RUP after the conquest: %v\ncnf: %v",
+				iter, final, err, clauses)
 		}
 	}
 	if cubed < 50 || refuted < 10 {
 		t.Fatalf("suite too weak: only %d instances cubed, %d all-cubes-unsat", cubed, refuted)
 	}
-	t.Logf("%d instances cubed, %d all-cubes-unsat certificates verified", cubed, refuted)
-}
-
-// TestCubeComposeUnderAssumptions mirrors the incremental path: the
-// activation literal is an input unit of the composed session, and the
-// final obligation is still the empty clause. Instances are gated
-// pigeonhole formulas — every PHP clause is extended with ¬act, so the
-// formula is satisfiable globally (set act false), unsat under the unit
-// act, and not refutable by unit propagation or lookahead alone.
-func TestCubeComposeUnderAssumptions(t *testing.T) {
-	verified := 0
-	for _, ph := range [][2]int{{5, 4}, {6, 5}, {7, 6}} {
-		phVars, phClauses := pigeonhole(ph[0], ph[1])
-		nvars := phVars + 1
-		act := sat.MkLit(phVars, false)
-		gated := make([][]int32, len(phClauses))
-		for i, cl := range phClauses {
-			gated[i] = append(append([]int32(nil), cl...), -dimacs(act))
-		}
-		lits := litsOf(gated)
-		units := []sat.Lit{act}
-		if bruteForce(nvars, gated, nil) != true {
-			t.Fatalf("gated PHP(%d,%d) should be sat with act free", ph[0], ph[1])
-		}
-		for seed := uint64(1); seed <= 4; seed++ {
-			cs := sat.BuildCubes(nvars, lits, units, sat.CubeOptions{MaxVars: 2, Seed: seed})
-			if cs == nil {
-				t.Fatalf("gated PHP(%d,%d) seed %d did not cube", ph[0], ph[1], seed)
-			}
-			winner, tr := conquer(t, nvars, lits, units, cs)
-			if winner >= 0 {
-				t.Fatalf("gated PHP(%d,%d): cube %v satisfiable under %v",
-					ph[0], ph[1], cs.Cubes[winner], act)
-			}
-			log := sat.ComposeCubeProof(lits, units, []sat.CubeTrace{tr}, cs.Internal)
-			if err := replayErr(log); err != nil {
-				t.Fatalf("gated PHP(%d,%d) seed %d: composed certificate rejected: %v",
-					ph[0], ph[1], seed, err)
-			}
-			verified++
-		}
-	}
-	if verified < 10 {
-		t.Fatalf("suite too weak: only %d assumption-mode certificates verified", verified)
-	}
-	t.Logf("%d assumption-mode certificates verified", verified)
-}
-
-// TestCubeComposeWithDeletions forces LBD database reductions inside the
-// conquering solver so the composed trace interleaves deletions, which
-// must still replay (each deletion matches the worker's own copy).
-func TestCubeComposeWithDeletions(t *testing.T) {
-	nvars, clauses := pigeonhole(7, 6)
-	lits := litsOf(clauses)
-	cs := sat.BuildCubes(nvars, lits, nil, sat.CubeOptions{MaxVars: 2})
-	if cs == nil {
-		t.Fatal("PHP(7,6) did not cube")
-	}
-	w := sat.New()
-	w.LBD = true
-	w.ReduceInterval = 1
-	w.Proof = &sat.ProofLog{}
-	for v := 0; v < nvars; v++ {
-		w.NewVar()
-	}
-	for _, cl := range lits {
-		w.AddClause(cl...)
-	}
-	tr := sat.CubeTrace{Log: w.Proof}
-	for i, cube := range cs.Cubes {
-		if st := w.Solve(cube...); st != sat.Unsat {
-			t.Fatalf("cube %d of PHP(7,6) solved as %v, want unsat", i, st)
-		}
-		tr.Cubes = append(tr.Cubes, cube)
-		tr.Marks = append(tr.Marks, w.Proof.Len())
-	}
-	deletions := 0
-	for i := 0; i < w.Proof.Len(); i++ {
-		if op, _ := w.Proof.Step(i); op == sat.OpDelete {
-			deletions++
-		}
-	}
-	log := sat.ComposeCubeProof(lits, nil, []sat.CubeTrace{tr}, cs.Internal)
-	if err := replayErr(log); err != nil {
-		t.Fatalf("composed certificate with %d deletions rejected: %v", deletions, err)
-	}
-	t.Logf("PHP(7,6): %d cubes, %d trace deletions, composed refutation verified",
-		len(cs.Cubes), deletions)
-}
-
-// TestCubeComposeTamper: a composed certificate missing one cube's trace
-// (its learnt steps and its negation clause) no longer covers that leaf
-// of the tree, and the checker must reject the composition — the
-// exhaustiveness check is what makes all-cubes-unsat trustworthy.
-func TestCubeComposeTamper(t *testing.T) {
-	nvars, clauses := pigeonhole(5, 4)
-	lits := litsOf(clauses)
-	cs := sat.BuildCubes(nvars, lits, nil, sat.CubeOptions{MaxVars: 2})
-	if cs == nil {
-		t.Fatal("PHP(5,4) did not cube")
-	}
-	// One worker per cube, so each cube's contribution is a separable trace.
-	var traces []sat.CubeTrace
-	for i, cube := range cs.Cubes {
-		w := sat.New()
-		w.LBD = true
-		w.Proof = &sat.ProofLog{}
-		for v := 0; v < nvars; v++ {
-			w.NewVar()
-		}
-		for _, cl := range lits {
-			w.AddClause(cl...)
-		}
-		if st := w.Solve(cube...); st != sat.Unsat {
-			t.Fatalf("cube %d solved as %v, want unsat", i, st)
-		}
-		traces = append(traces, sat.CubeTrace{
-			Log:   w.Proof,
-			Cubes: [][]sat.Lit{cube},
-			Marks: []int{w.Proof.Len()},
-		})
-	}
-	if err := replayErr(sat.ComposeCubeProof(lits, nil, traces, cs.Internal)); err != nil {
-		t.Fatalf("untampered composition rejected: %v", err)
-	}
-	for drop := range traces {
-		tampered := append(append([]sat.CubeTrace(nil), traces[:drop]...), traces[drop+1:]...)
-		if err := replayErr(sat.ComposeCubeProof(lits, nil, tampered, cs.Internal)); err == nil {
-			t.Fatalf("composition missing cube %d's trace verified — exhaustiveness not checked", drop)
-		}
-	}
+	t.Logf("%d instances cubed, %d all-cubes-unsat logs verified", cubed, refuted)
 }

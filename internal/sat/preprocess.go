@@ -66,25 +66,6 @@ func (s *Solver) isFrozen(v int) bool { return v < len(s.frozen) && s.frozen[v] 
 
 func (s *Solver) isEliminated(v int) bool { return v < len(s.eliminated) && s.eliminated[v] }
 
-// shuffle applies the SeedShuffle diversification: a deterministic
-// xorshift stream adds sub-unit activity noise (breaking ties in the
-// VSIDS order without overriding real conflict activity) and flips the
-// saved phase of a pseudo-random subset of variables.
-func (s *Solver) shuffle() {
-	s.shuffled = true
-	x := s.SeedShuffle
-	for v := range s.assigns {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		s.order.act[v] += float64(x&0xffff) / (1 << 26)
-		if x&0x10000 != 0 {
-			s.polarity[v] = !s.polarity[v]
-		}
-		s.order.update(v)
-	}
-}
-
 // removeClause marks c deleted — watchers drop lazily in propagate — and
 // logs the deletion when the stored literals match a logged step (see
 // hdrLogged). Its entry stays in s.clauses, so the problem-clause count
@@ -584,11 +565,12 @@ func (s *Solver) reconstructModel() {
 // reconstruction stack; clauses deleted by subsumption or vivification
 // are implied by the live set (every deletion happened while the
 // remaining clauses subsumed or covered the deleted one) and are
-// excluded, keeping the export lean — and optionally the live learnt
-// clauses. Learnt clauses are implied, so including them preserves
-// equivalence, but an importer logs everything as input axioms: callers
-// recording proofs must exclude them.
-func (s *Solver) Snapshot(withLearnts bool) (nvars int, clauses [][]Lit) {
+// excluded, keeping the export lean — and finally the live learnt
+// clauses, which are implied, so including them preserves equivalence.
+// The export is a guide for lookahead (BuildCubes), not a certificate:
+// an importer that logged it as input axioms would assert the learnt
+// clauses without proof.
+func (s *Solver) Snapshot() (nvars int, clauses [][]Lit) {
 	if s.decisionLevel() != 0 {
 		panic("sat: Snapshot above decision level 0")
 	}
@@ -606,11 +588,9 @@ func (s *Solver) Snapshot(withLearnts bool) (nvars int, clauses [][]Lit) {
 			out = append(out, append([]Lit(nil), lits...))
 		}
 	}
-	if withLearnts {
-		for _, c := range s.learnts {
-			if !s.ca.deleted(c) {
-				out = append(out, append([]Lit(nil), s.ca.lits(c)...))
-			}
+	for _, c := range s.learnts {
+		if !s.ca.deleted(c) {
+			out = append(out, append([]Lit(nil), s.ca.lits(c)...))
 		}
 	}
 	return len(s.assigns), out

@@ -52,9 +52,6 @@ func TestDifferentialInprocessed(t *testing.T) {
 		s.Inprocess = true
 		s.InprocessMin = 1
 		s.InprocessElim = true
-		if iter%2 == 1 {
-			s.SeedShuffle = uint64(iter)
-		}
 		got := s.Solve()
 		want := bruteForce(nvars, clauses, nil)
 		if (got == sat.Sat) != want {
@@ -185,7 +182,7 @@ func TestSnapshotEquisatisfiable(t *testing.T) {
 		if got == sat.Unsat && !s.Okay() {
 			continue // no level-0 state worth exporting
 		}
-		nv, snap := s.Snapshot(true)
+		nv, snap := s.Snapshot()
 		if nv != nvars {
 			t.Fatalf("iter %d: snapshot has %d vars, want %d", iter, nv, nvars)
 		}

@@ -62,10 +62,10 @@ func (b lbool) not() lbool {
 	return b ^ 1
 }
 
-// Stop is a shared cancellation token. A cube conquest sets it once some
-// worker finds a Sat cube; every other solver sharing it observes the flag
-// at its next search-loop poll (every 256 conflicts and at restart
-// boundaries) and returns Unknown. A nil *Stop is never stopped.
+// Stop is a shared cancellation token. Once it is set, every solver
+// sharing it observes the flag at its next search-loop poll (every 256
+// conflicts and at restart boundaries) and returns Unknown. A nil *Stop
+// is never stopped.
 type Stop struct{ flag atomic.Bool }
 
 // Stop requests cancellation.
@@ -143,16 +143,10 @@ type Solver struct {
 	// restart budget.
 	Deadline time.Time
 	// Cancel, when non-nil, is a shared cancellation token polled at the
-	// same points as Deadline: once stopped, Solve returns Unknown. A
-	// cube conquest hands the same token to every worker so the first
-	// Sat cube cancels the rest.
+	// same points as Deadline: once stopped, Solve returns Unknown. It
+	// lets another goroutine abandon a search, for example when the
+	// client that asked for it has gone away.
 	Cancel *Stop
-
-	// SeedShuffle, when non-zero, perturbs variable activities and saved
-	// phases with a deterministic xorshift stream seeded by it before the
-	// first search, diversifying the branching order across cube
-	// workers. Zero (the default) leaves the ordering untouched.
-	SeedShuffle uint64
 
 	// Inprocess enables SatELite-style inprocessing — clause subsumption,
 	// self-subsuming resolution, and vivification — before search and at
@@ -224,7 +218,6 @@ type Solver struct {
 	frozen        []bool
 	eliminated    []bool
 	elimStack     []elimEntry
-	shuffled      bool
 	inprocRuns    int64
 	inprocClauses int
 	nextInproc    int64
@@ -737,9 +730,6 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		}
 	}
 
-	if s.SeedShuffle != 0 && !s.shuffled {
-		s.shuffle()
-	}
 	if s.Inprocess && s.inprocessDue() {
 		if !s.inprocess(true) {
 			return Unsat

@@ -3,40 +3,30 @@ package smt
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/proof"
-	"repro/internal/sat"
+	"repro/internal/telemetry"
 )
 
-// drainedPortfolio returns a pool whose tokens are all held, so no cube
-// worker can steal a slot and every conquest runs in place on the query's
-// own thread. CubeAfter 1 makes any query with at least one probe
-// conflict eligible.
-func drainedPortfolio() *Portfolio {
-	pf := NewPortfolio(1)
-	pf.After = 1
-	pf.CubeAfter = 1
-	pf.Acquire()
-	return pf
-}
-
-// TestCubeMatchesPlain: with no slot to steal and every non-trivial query
-// escalating to cube-and-conquer, verdicts must match a plain solver's
-// exactly, on both the one-shot and the incremental paths — the
-// row-parity guarantee the harness relies on.
+// TestCubeMatchesPlain: with every non-trivial query escalating to
+// cube-and-conquer, verdicts must match a plain solver's exactly, on both
+// the one-shot and the incremental paths — the row-parity guarantee the
+// harness relies on.
 func TestCubeMatchesPlain(t *testing.T) {
 	var escalations int64
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		ctx := NewContext()
 		cubed := NewSolver(ctx)
-		cubed.Portfolio = drainedPortfolio()
+		cubed.Portfolio = &Portfolio{After: 1, CubeAfter: 1}
 		cubed.Inprocess = true
 		inc := NewSolver(ctx)
 		inc.Incremental = true
-		inc.Portfolio = drainedPortfolio()
+		inc.Portfolio = &Portfolio{After: 1, CubeAfter: 1}
 		inc.Inprocess = true
 
 		queries := []*Term{
@@ -84,7 +74,7 @@ func TestCubeMatchesPlain(t *testing.T) {
 func TestCubeDisabledMatchesPlain(t *testing.T) {
 	ctx := NewContext()
 	s := NewSolver(ctx)
-	s.Portfolio = drainedPortfolio()
+	s.Portfolio = &Portfolio{After: 1, CubeAfter: 1}
 	s.DisableCube = true
 	queries := []struct {
 		form *Term
@@ -108,20 +98,15 @@ func TestCubeDisabledMatchesPlain(t *testing.T) {
 }
 
 // TestCubeCertsVerify: every certificate a cube-escalated run emits —
-// including the composed all-cubes-unsat refutations, on both the
-// one-shot (empty-clause obligation) and incremental (activation-literal
-// input) paths — must verify from scratch with CheckDir.
+// all-cubes-unsat refutations included, on both the one-shot
+// (empty-clause obligation) and incremental (activation-literal
+// obligation) paths — must verify from scratch with CheckDir. The
+// conquest runs in the query's own session, so it must open no DRAT
+// session beyond those the same queries open with DisableCube.
 func TestCubeCertsVerify(t *testing.T) {
 	for _, incremental := range []bool{false, true} {
 		t.Run(fmt.Sprintf("incremental=%v", incremental), func(t *testing.T) {
 			ctx := NewContext()
-			rec, finish := newTestRecorder(t, fmt.Sprintf("cube-inc-%v", incremental))
-			s := NewSolver(ctx)
-			s.Recorder = rec
-			s.Portfolio = drainedPortfolio()
-			s.Inprocess = true
-			s.Incremental = incremental
-
 			queries := []struct {
 				form *Term
 				want Result
@@ -131,113 +116,72 @@ func TestCubeCertsVerify(t *testing.T) {
 				{distinctUnder(ctx, "c", 8, 3, 7), ResultUnsat},
 				{distinctUnder(ctx, "d", 6, 3, 5), ResultUnsat},
 			}
-			for i, q := range queries {
-				res, _, err := s.CheckSat(q.form)
+			// run solves the queries under a recorder and returns the
+			// solver, the checked report and the trace's session count.
+			run := func(disableCube bool) (*Solver, *proof.CheckReport, int) {
+				name := fmt.Sprintf("cube-inc-%v-nocube-%v", incremental, disableCube)
+				rec, finish := newTestRecorder(t, name)
+				s := NewSolver(ctx)
+				s.Recorder = rec
+				s.Portfolio = &Portfolio{After: 1, CubeAfter: 1}
+				s.DisableCube = disableCube
+				s.Metrics = telemetry.NewMetrics()
+				s.Inprocess = true
+				s.Incremental = incremental
+				for i, q := range queries {
+					res, _, err := s.CheckSat(q.form)
+					if err != nil {
+						t.Fatalf("query %d: %v", i, err)
+					}
+					if res != q.want {
+						t.Fatalf("query %d: got %v, want %v", i, res, q.want)
+					}
+				}
+				dir := finish()
+				report, err := proof.CheckDir(dir)
 				if err != nil {
-					t.Fatalf("query %d: %v", i, err)
+					t.Fatal(err)
 				}
-				if res != q.want {
-					t.Fatalf("query %d: got %v, want %v", i, res, q.want)
+				for _, r := range report.Rejections {
+					t.Errorf("rejection: %s", r)
 				}
+				return s, report, traceSessions(t, filepath.Join(dir, proof.FileBase(name)+proof.DratSuffix))
 			}
+
+			s, report, sessions := run(false)
 			if s.Stats.CubeEscalations == 0 {
 				t.Fatal("no query escalated to cube-and-conquer")
 			}
-			if s.Stats.CubesRefuted == 0 {
-				t.Fatal("no cube was ever refuted: composition path not exercised")
+			if s.Metrics.Counter("cube.unsat") == 0 {
+				t.Fatal("no all-cubes-unsat conquest: the refutation path was not exercised")
 			}
 			t.Logf("escalations=%d generated=%d refuted=%d sat=%d",
 				s.Stats.CubeEscalations, s.Stats.CubesGenerated,
 				s.Stats.CubesRefuted, s.Stats.CubesSat)
-
-			report, err := proof.CheckDir(finish())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range report.Rejections {
-				t.Errorf("rejection: %s", r)
-			}
 			if report.ByKind[proof.KindDRAT] < 3 {
 				t.Errorf("expected at least 3 DRAT certificates, got %d", report.ByKind[proof.KindDRAT])
+			}
+			if _, _, plain := run(true); sessions != plain {
+				t.Errorf("cube-escalated run opened %d DRAT sessions, DisableCube %d", sessions, plain)
 			}
 		})
 	}
 }
 
-// TestSolveCubedWorkStealing drives solveCubed directly with idle slots
-// available, so stolen workers drain the shared queue alongside the
-// query's own thread; the all-cubes-unsat verdict must hold whatever the
-// interleaving, and its composed certificate must replay.
-func TestSolveCubedWorkStealing(t *testing.T) {
-	ctx := NewContext()
-	rec, finish := newTestRecorder(t, "cube-steal")
-	defer finish()
-	s := NewSolver(ctx)
-	s.Recorder = rec
-	s.Portfolio = NewPortfolio(3)
-
-	// Build a primary SAT instance directly: pigeonhole 7 into 6.
-	const pigeons, holes = 7, 6
-	primary := sat.New()
-	va := func(p, h int) sat.Lit { return sat.MkLit(p*holes+h, false) }
-	for v := 0; v < pigeons*holes; v++ {
-		primary.NewVar()
+// traceSessions counts the distinct sessions of a binary DRAT trace.
+func traceSessions(t *testing.T, path string) int {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for p := 0; p < pigeons; p++ {
-		row := make([]sat.Lit, holes)
-		for h := 0; h < holes; h++ {
-			row[h] = va(p, h)
-		}
-		primary.AddClause(row...)
+	defer f.Close()
+	seen := map[int]bool{}
+	if err := proof.WalkDrat(f, func(sess int, _ byte, _ []int32) error {
+		seen[sess] = true
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	for h := 0; h < holes; h++ {
-		for p := 0; p < pigeons; p++ {
-			for q := p + 1; q < pigeons; q++ {
-				primary.AddClause(va(p, h).Not(), va(q, h).Not())
-			}
-		}
-	}
-
-	st, winner, ran := s.solveCubed(primary, 0)
-	if !ran {
-		t.Fatal("PHP(7,6) did not cube")
-	}
-	if st != sat.Unsat {
-		t.Fatalf("PHP(7,6) cubed verdict = %v, want Unsat", st)
-	}
-	if s.Stats.CubesRefuted != s.Stats.CubesGenerated {
-		t.Fatalf("refuted %d of %d cubes", s.Stats.CubesRefuted, s.Stats.CubesGenerated)
-	}
-	if winner.Proof == nil {
-		t.Fatal("all-cubes-unsat winner carries no composed certificate")
-	}
-	ck := proof.NewSessionChecker()
-	for i := 0; i < winner.Proof.Len(); i++ {
-		op, lits := winner.Proof.Step(i)
-		d := make([]int32, len(lits))
-		for j, l := range lits {
-			if l.Neg() {
-				d[j] = -int32(l.Var() + 1)
-			} else {
-				d[j] = int32(l.Var() + 1)
-			}
-		}
-		var err error
-		switch op {
-		case sat.OpInput:
-			err = ck.AddInput(d)
-		case sat.OpLearn:
-			err = ck.AddLearnt(d)
-		case sat.OpDelete:
-			err = ck.Delete(d)
-		}
-		if err != nil {
-			t.Fatalf("composed step %d (op %q): %v", i, op, err)
-		}
-	}
-	if err := ck.CheckFinal(nil); err != nil {
-		t.Fatalf("composed certificate rejected: %v", err)
-	}
-	t.Logf("generated=%d refuted=%d steals=%d",
-		s.Stats.CubesGenerated, s.Stats.CubesRefuted, s.Stats.CubeSteals)
+	return len(seen)
 }

@@ -23,18 +23,13 @@ import (
 //	fallback — a query the cube stage skipped or could not decide
 //	  finishes solo with whatever conflict budget remains.
 //
-// The pool holds one token per harness worker: a worker lends its slot
-// while it blocks in pipeline phases (parsing, ISel, symbolic stepping)
-// and takes it back before solving, so cube workers only ever consume
-// capacity the run was wasting. The winner's solver — primary or cube
-// worker — supplies the model or the DRAT trace, so certification is
-// unchanged.
+// Every stage runs on the query's own solver, so the verdict's model or
+// DRAT trace always comes from it and certification is unchanged.
 
-// Portfolio is a pool of solve slots shared by every solver of a run.
-// One Portfolio is created per harness run (or per single-file tv
-// invocation) and attached to each worker's Solver.
+// Portfolio holds the ladder's probe budgets. One value is shared
+// read-only by every solver of a run; the zero Portfolio means "ladder
+// on, default budgets", and a nil one turns the ladder off.
 type Portfolio struct {
-	tokens chan struct{}
 	// After is the probe conflict budget: a query escalates only after
 	// its primary search exceeds this many conflicts (0 = default 2000).
 	After int64
@@ -42,35 +37,6 @@ type Portfolio struct {
 	// to cube-and-conquer only after its probes have spent this many
 	// conflicts without a verdict (0 = default 4000).
 	CubeAfter int64
-}
-
-// NewPortfolio returns a pool with one token per worker slot.
-func NewPortfolio(slots int) *Portfolio {
-	if slots < 1 {
-		slots = 1
-	}
-	p := &Portfolio{tokens: make(chan struct{}, slots)}
-	for i := 0; i < slots; i++ {
-		p.tokens <- struct{}{}
-	}
-	return p
-}
-
-// Acquire blocks until a slot is free. Workers call it before compute-
-// bound validation work; cube workers never block (TryAcquire).
-func (p *Portfolio) Acquire() { <-p.tokens }
-
-// Release returns a slot taken by Acquire or TryAcquire.
-func (p *Portfolio) Release() { p.tokens <- struct{}{} }
-
-// TryAcquire takes a slot only if one is idle right now.
-func (p *Portfolio) TryAcquire() bool {
-	select {
-	case <-p.tokens:
-		return true
-	default:
-		return false
-	}
 }
 
 func (p *Portfolio) afterConflicts() int64 {
@@ -96,9 +62,6 @@ const minCubeWindow = 500 * time.Millisecond
 // 2^cubeVars cubes per escalated query.
 const cubeVars = 4
 
-// maxCubeSteals bounds the idle slots one cube conquest may steal.
-const maxCubeSteals = 3
-
 // escalationGateOpen reports whether the ladder should stop probing solo
 // and escalate now. Without a wall-clock budget there is nothing to adapt
 // to and the gate is always open — the pre-adaptive behavior the parity
@@ -119,22 +82,18 @@ func (s *Solver) cubeEnabled() bool {
 }
 
 // solveLadder runs primary.Solve under the escalation ladder described
-// in the package comment above. Returns the verdict and the solver that
-// produced it; the caller extracts the model or flushes the proof from
-// the winner (for an all-cubes-unsat verdict the winner is a fresh
-// solver carrying only the composed certificate). All goroutines are
-// joined before returning, so the primary is never shared with a live
-// cube worker.
-func (s *Solver) solveLadder(primary *sat.Solver, assumps ...sat.Lit) (sat.Status, *sat.Solver) {
+// in the comment above; the caller reads the model or the proof from
+// primary whichever stage decided the query.
+func (s *Solver) solveLadder(primary *sat.Solver, assumps ...sat.Lit) sat.Status {
 	pf := s.Portfolio
 	if pf == nil {
-		return primary.Solve(assumps...), primary
+		return primary.Solve(assumps...)
 	}
 	user := primary.ConflictBudget
 	probe := pf.afterConflicts()
 	if user > 0 && user <= probe {
 		// The whole budget fits in the probe: escalation could never trigger.
-		return primary.Solve(assumps...), primary
+		return primary.Solve(assumps...)
 	}
 
 	// Stage 1: solo probes, doubling while the escalation gate is closed.
@@ -159,7 +118,7 @@ func (s *Solver) solveLadder(primary *sat.Solver, assumps ...sat.Lit) (sat.Statu
 		if user > 0 {
 			rem := user - spent
 			if rem <= 0 {
-				return sat.Unknown, primary
+				return sat.Unknown
 			}
 			if b > rem {
 				b = rem
@@ -177,7 +136,7 @@ func (s *Solver) solveLadder(primary *sat.Solver, assumps ...sat.Lit) (sat.Statu
 		primary.ConflictBudget = user
 		primary.Deadline = userDeadline
 		if st != sat.Unknown || s.pastDeadline() {
-			return st, primary
+			return st
 		}
 		if esc == 0 && used-b > b && s.cubeEnabled() && spent >= pf.cubeAfter() {
 			// The budget is only polled at restart boundaries, so a probe
@@ -204,7 +163,7 @@ func (s *Solver) solveLadder(primary *sat.Solver, assumps ...sat.Lit) (sat.Statu
 	var rem int64 // conflicts left for the later stages (0 = unlimited)
 	if user > 0 {
 		if rem = user - spent; rem <= 0 {
-			return sat.Unknown, primary
+			return sat.Unknown
 		}
 	}
 
@@ -235,8 +194,8 @@ func (s *Solver) solveLadder(primary *sat.Solver, assumps ...sat.Lit) (sat.Statu
 		case !watermarkMet:
 			s.Metrics.Add("cube.skip.watermark", 1)
 		default:
-			if st, winner, ran := s.solveCubed(primary, rem, assumps...); ran && st != sat.Unknown {
-				return st, winner
+			if st, ran := s.solveCubed(primary, rem, assumps...); ran && st != sat.Unknown {
+				return st
 			}
 		}
 	}
@@ -246,5 +205,5 @@ func (s *Solver) solveLadder(primary *sat.Solver, assumps ...sat.Lit) (sat.Statu
 	primary.ConflictBudget = rem
 	st := primary.Solve(assumps...)
 	primary.ConflictBudget = user
-	return st, primary
+	return st
 }

@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -30,19 +31,16 @@ func distinctUnder(ctx *Context, tag string, n int, width uint8, bound uint64) *
 	return form
 }
 
-// TestPortfolioMatchesPlain: a solver escalating every query that
-// survives a one-conflict probe — cubes conquered on idle slots — must
-// return exactly the verdicts of a plain solver, on both the one-shot and
-// the incremental paths. This is the row-parity guarantee the harness
-// relies on when it lends idle worker slots.
+// TestPortfolioMatchesPlain: solvers sharing one Portfolio, as a run's
+// workers do, and escalating every query that survives a one-conflict
+// probe must return exactly the verdicts of a plain solver, on both the
+// one-shot and the incremental paths.
 func TestPortfolioMatchesPlain(t *testing.T) {
 	var escalations int64
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		ctx := NewContext()
-		pf := NewPortfolio(3)
-		pf.After = 1 // escalate everything non-trivial
-		pf.CubeAfter = 1
+		pf := &Portfolio{After: 1, CubeAfter: 1} // escalate everything non-trivial
 		laddered := NewSolver(ctx)
 		laddered.Portfolio = pf
 		laddered.Inprocess = true
@@ -115,23 +113,23 @@ func newTestRecorder(t *testing.T, name string) (*proof.Recorder, func() string)
 	}
 }
 
-// TestPortfolioCertsVerify: with a Recorder attached, every certificate a
-// portfolio run emits — including the self-contained refutations composed
-// by cube workers on stolen slots — must verify from scratch with
-// CheckDir.
+// TestPortfolioCertsVerify: under a conflict budget that a cube conquest
+// can run out of, the negations of the cubes it did refute stay in the
+// query's session as learnt steps, and the solo fallback (or, on the
+// incremental path, a later query) builds on them. Every certificate
+// such a run emits must still verify from scratch with CheckDir.
 func TestPortfolioCertsVerify(t *testing.T) {
 	for _, incremental := range []bool{false, true} {
 		t.Run(fmt.Sprintf("incremental=%v", incremental), func(t *testing.T) {
 			ctx := NewContext()
 			rec, finish := newTestRecorder(t, fmt.Sprintf("portfolio-inc-%v", incremental))
-			pf := NewPortfolio(3)
-			pf.After = 1
-			pf.CubeAfter = 1
 			s := NewSolver(ctx)
 			s.Recorder = rec
-			s.Portfolio = pf
+			s.Portfolio = &Portfolio{After: 1, CubeAfter: 1}
+			s.Metrics = telemetry.NewMetrics()
 			s.Inprocess = true
 			s.Incremental = incremental
+			s.ConflictBudget = 600
 
 			queries := []struct {
 				form *Term
@@ -142,19 +140,26 @@ func TestPortfolioCertsVerify(t *testing.T) {
 				{distinctUnder(ctx, "c", 8, 3, 7), ResultUnsat},
 				{distinctUnder(ctx, "d", 6, 3, 5), ResultUnsat},
 			}
+			decidedAfterGiveUp := 0
 			for i, q := range queries {
+				gaveUp := s.Metrics.Counter("cube.unknown")
 				res, _, err := s.CheckSat(q.form)
+				if errors.Is(err, ErrBudget) {
+					continue
+				}
 				if err != nil {
 					t.Fatalf("query %d: %v", i, err)
 				}
 				if res != q.want {
 					t.Fatalf("query %d: got %v, want %v", i, res, q.want)
 				}
+				if s.Metrics.Counter("cube.unknown") > gaveUp {
+					decidedAfterGiveUp++
+				}
 			}
-			if s.Stats.CubeEscalations == 0 {
-				t.Fatal("no query escalated despite After=1 on pigeonhole instances")
+			if decidedAfterGiveUp == 0 {
+				t.Fatal("no query was decided after its cube conquest gave up: the partial-conquest path was not exercised")
 			}
-			t.Logf("escalations=%d steals=%d", s.Stats.CubeEscalations, s.Stats.CubeSteals)
 
 			report, err := proof.CheckDir(finish())
 			if err != nil {
@@ -163,8 +168,8 @@ func TestPortfolioCertsVerify(t *testing.T) {
 			for _, r := range report.Rejections {
 				t.Errorf("rejection: %s", r)
 			}
-			if report.ByKind[proof.KindDRAT] < 3 {
-				t.Errorf("expected at least 3 DRAT certificates, got %d", report.ByKind[proof.KindDRAT])
+			if report.ByKind[proof.KindDRAT] < 2 {
+				t.Errorf("expected at least 2 DRAT certificates, got %d", report.ByKind[proof.KindDRAT])
 			}
 		})
 	}
@@ -174,7 +179,7 @@ func TestPortfolioCertsVerify(t *testing.T) {
 // opens after the first probe, so a query short of the cube watermark
 // must reach the cube gate, be counted as skipped there, and finish solo
 // — with the verdicts and certificate kinds of a solver without a
-// portfolio, and every pool token back afterwards.
+// portfolio.
 func TestLadderWatermarkFallback(t *testing.T) {
 	for _, incremental := range []bool{false, true} {
 		t.Run(fmt.Sprintf("incremental=%v", incremental), func(t *testing.T) {
@@ -209,9 +214,7 @@ func TestLadderWatermarkFallback(t *testing.T) {
 				return got, report
 			}
 
-			pf := NewPortfolio(3)
-			pf.After = 1
-			pf.CubeAfter = 1 << 40
+			pf := &Portfolio{After: 1, CubeAfter: 1 << 40}
 			m := telemetry.NewMetrics()
 			got, report := solve(pf, m)
 			want, wantReport := solve(nil, nil)
@@ -224,9 +227,6 @@ func TestLadderWatermarkFallback(t *testing.T) {
 			}
 			if m.Counter("cube.skip.watermark") == 0 {
 				t.Error("no query reached the cube gate short of the watermark")
-			}
-			if len(pf.tokens) != cap(pf.tokens) {
-				t.Errorf("%d of %d pool tokens back after the run", len(pf.tokens), cap(pf.tokens))
 			}
 		})
 	}

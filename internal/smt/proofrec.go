@@ -63,24 +63,6 @@ func (s *Solver) hookVars(sess *proof.Session) func(t *Term, lits []sat.Lit) {
 	}
 }
 
-// mapBlasterVars registers every free term variable already encoded by b
-// into sess — the after-the-fact equivalent of hookVars for sessions
-// created once the blaster exists (a stolen-slot cube conquest's session:
-// its workers share the blaster's variable numbering via the snapshot).
-func (s *Solver) mapBlasterVars(sess *proof.Session, b *blaster) {
-	hook := s.hookVars(sess)
-	for t, lits := range b.bvMemo {
-		if t.Kind == KVarBV {
-			hook(t, lits)
-		}
-	}
-	for t, l := range b.boolMemo {
-		if t.Kind == KVarBool {
-			hook(t, []sat.Lit{l})
-		}
-	}
-}
-
 func (s *Solver) recordTrivial(f *Term, result string) {
 	if s.Recorder == nil {
 		return

@@ -81,8 +81,8 @@ type Solver struct {
 	// non-RUP rewrite is auto-disabled while a Recorder is attached.
 	Inprocess bool
 	// Portfolio, when non-nil, runs queries that outlive the probe budget
-	// up the probe → cube escalation ladder, conquering cubes on idle
-	// worker slots. See portfolio.go.
+	// up the probe → cube escalation ladder with its budgets (the zero
+	// value takes the defaults). See portfolio.go.
 	Portfolio *Portfolio
 	// Recorder, when non-nil, makes every decided query emit a proof
 	// certificate: Unsat verdicts stream their SAT clause trace into a
@@ -333,7 +333,7 @@ func (s *Solver) checkSatSolve(f *Term, keyHex string) (Result, *Assign, error) 
 	}
 	solver.AddClause(root)
 	s.queryVars = solver.NumVars()
-	st, winner := s.solveLadder(solver)
+	st := s.solveLadder(solver)
 	s.Stats.SATConflicts += solver.Conflicts
 	s.Stats.SATDecisions += solver.Decisions
 	s.Stats.CNFClauses += int64(solver.NumClauses())
@@ -345,11 +345,8 @@ func (s *Solver) checkSatSolve(f *Term, keyHex string) (Result, *Assign, error) 
 	case sat.Unsat:
 		if sess != nil {
 			// No assumptions here, so Unsat is a global refutation: the
-			// obligation is the empty clause. The winner's trace is the
-			// one recorded — a cube composition is a complete one-shot
-			// refutation of the snapshot CNF over the same variable
-			// numbering.
-			s.recordUnsat(winner.Proof, 0, sess, nil, keyHex)
+			// obligation is the empty clause.
+			s.recordUnsat(solver.Proof, 0, sess, nil, keyHex)
 		}
 		return ResultUnsat, nil, nil
 	case sat.Unknown:
@@ -361,7 +358,7 @@ func (s *Solver) checkSatSolve(f *Term, keyHex string) (Result, *Assign, error) 
 		}
 		return ResultUnknown, nil, ErrBudget
 	}
-	m := s.extractModel(f, red, b, winner)
+	m := s.extractModel(f, red, b, solver)
 	s.recordModel(f, m, keyHex)
 	return ResultSat, m, nil
 }
@@ -444,31 +441,18 @@ func (s *Solver) checkSatIncremental(f *Term, keyHex string) (Result, *Assign, e
 	s.incSAT.ConflictBudget = s.ConflictBudget
 	s.incSAT.Deadline = s.Deadline
 	s.queryVars = s.incSAT.NumVars()
-	st, winner := s.solveLadder(s.incSAT, root)
-	switch st {
+	switch s.solveLadder(s.incSAT, root) {
 	case sat.Unsat:
 		if s.incSession != nil {
-			if winner == s.incSAT {
-				// Under an activation assumption, Unsat means the negated
-				// assumption follows by unit propagation — unless the instance
-				// was refuted outright, in which case the obligation is the
-				// empty clause.
-				var final []int
-				if s.incSAT.Okay() {
-					final = []int{-litDimacs(root)}
-				}
-				s.incFlushed = s.recordUnsat(s.incSAT.Proof, s.incFlushed, s.incSession, final, keyHex)
-			} else {
-				// A stolen-slot cube conquest refuted every cube. Its
-				// composed trace is a self-contained one-shot refutation —
-				// snapshot clauses plus the activation unit as inputs, empty
-				// clause as the obligation — so it gets its own session; the
-				// shared incremental session and its flush watermark stay
-				// untouched for the next primary-won query.
-				sess := s.Recorder.NewSession()
-				s.mapBlasterVars(sess, s.incBlaster)
-				s.recordUnsat(winner.Proof, 0, sess, nil, keyHex)
+			// Under an activation assumption, Unsat means the negated
+			// assumption follows by unit propagation — unless the instance
+			// was refuted outright, in which case the obligation is the
+			// empty clause.
+			var final []int
+			if s.incSAT.Okay() {
+				final = []int{-litDimacs(root)}
 			}
+			s.incFlushed = s.recordUnsat(s.incSAT.Proof, s.incFlushed, s.incSession, final, keyHex)
 		}
 		return ResultUnsat, nil, nil
 	case sat.Unknown:
@@ -477,9 +461,7 @@ func (s *Solver) checkSatIncremental(f *Term, keyHex string) (Result, *Assign, e
 		}
 		return ResultUnknown, nil, ErrBudget
 	}
-	// The snapshot preserves variable numbering, so the blaster memos
-	// decode a cube worker's model exactly like the primary's.
-	m := s.extractModel(f, s.incReducer, s.incBlaster, winner)
+	m := s.extractModel(f, s.incReducer, s.incBlaster, s.incSAT)
 	s.recordModel(f, m, keyHex)
 	return ResultSat, m, nil
 }

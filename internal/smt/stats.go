@@ -26,9 +26,7 @@ type Stats struct {
 	ProofBytes    int64 // certificate bytes written, the run's term table included
 	Certificates  int64 // query certificates emitted
 
-	// Inprocessing counters (see internal/sat/preprocess.go). These count
-	// the work done by the primary per-query/per-worker instances; cube
-	// workers never inprocess.
+	// Inprocessing counters (see internal/sat/preprocess.go).
 	SubsumedClauses     int64 // clauses deleted as subsumed or root-satisfied
 	StrengthenedClauses int64 // clauses shortened by self-subsuming resolution
 	VivifiedClauses     int64 // clauses shortened by vivification probes
@@ -37,8 +35,9 @@ type Stats struct {
 	// Races, RaceRacerWins and RaceWastedConflicts are always zero: the
 	// portfolio race rung they counted was retired, because the benchmark
 	// of record showed it never deciding a query. They remain because the
-	// frozen benchmark module (perfbench) still reads them, and they stay
-	// out of statFields, so no counter carries them.
+	// frozen benchmark module (perfbench) still reads them; they stay out
+	// of statFields, so no counter carries them, and are deleted once the
+	// benchmark stops reading them.
 	Races               int64
 	RaceRacerWins       int64
 	RaceWastedConflicts int64
@@ -48,14 +47,19 @@ type Stats struct {
 	CubesGenerated  int64 // cubes emitted by the lookahead cuber
 	CubesRefuted    int64 // cubes refuted under assumptions
 	CubesSat        int64 // cubes found satisfiable (decides the query)
-	CubeSteals      int64 // cubes drained by stolen idle slots
+
+	// CubeSteals is always zero: cubes are conquered on the query's own
+	// solver, never on a stolen idle slot. Like the race fields it remains
+	// only for perfbench, stays out of statFields, and is deleted once the
+	// benchmark stops reading it.
+	CubeSteals int64
 }
 
-// statFields pairs every Stats field but the three retired race fields
-// with the telemetry counter that carries it. It is the only list of the
-// fields: Add, Record, and StatsOf all iterate it, so a field added here
-// travels, merges, and renders everywhere at once. SolveDuration travels
-// in nanoseconds.
+// statFields pairs every Stats field but the retired race and steal
+// fields with the telemetry counter that carries it. It is the only list
+// of the fields: Add, Record, and StatsOf all iterate it, so a field
+// added here travels, merges, and renders everywhere at once.
+// SolveDuration travels in nanoseconds.
 var statFields = [...]struct {
 	name  string
 	field func(*Stats) *int64
@@ -81,7 +85,6 @@ var statFields = [...]struct {
 	{"cube.generated", func(s *Stats) *int64 { return &s.CubesGenerated }},
 	{"cube.refuted", func(s *Stats) *int64 { return &s.CubesRefuted }},
 	{"cube.sat", func(s *Stats) *int64 { return &s.CubesSat }},
-	{"cube.steal", func(s *Stats) *int64 { return &s.CubeSteals }},
 }
 
 // Add accumulates o into s.
