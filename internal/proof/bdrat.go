@@ -8,10 +8,10 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"sort"
+	"slices"
 )
 
-// Binary DRAT container (schema 2, container version 3). The file starts
+// Binary DRAT container (schema 2, container version 4). The file starts
 // with an uncompressed four-byte magic "BDRT" plus one version byte;
 // everything after the header is one DEFLATE stream of records:
 //
@@ -24,7 +24,7 @@ import (
 //	                            before the incremental session they split,
 //	                            may still sit in result stores.
 //	'i'/'l'/'d' uvarint(n) lits step of the current session (input, learnt,
-//	                            deleted clause), n delta-coded literals.
+//	                            deleted clause), n anchor-coded literals.
 //	'c' crc32                   trailer, the last record: the big-endian
 //	                            CRC-32 (IEEE) of every inflated byte before
 //	                            it, its own 'c' included.
@@ -32,19 +32,27 @@ import (
 // DEFLATE carries no checksum, so without the trailer a flipped body byte
 // can decode into a well-formed trace with altered input clauses — which
 // the checker would install as axioms. Version 2 streams lack the
-// trailer and are rejected.
+// trailer; version 3 streams coded literals upward from variable 0. Both
+// are rejected.
 //
-// Literals are sorted by variable (positive polarity first on ties) and
-// encoded as uvarint((var - prevVar) << 1 | signBit). Sorting is sound —
-// clauses are sets: RUP and the checker's deletion matching are both
-// insensitive to literal order — and it makes the deltas
-// small, which together with DEFLATE is what buys the ~8-9x size
-// reduction over the textual format.
+// Literals are written from the highest variable down (negative polarity
+// first on ties). The first one codes its variable against an anchor:
+// uvarint(zigzag(var - anchor) << 1 | signBit), where the anchor is the
+// top variable of the previous non-empty step since the last 's' record
+// (0 right after it). Each later literal is a downward gap,
+// uvarint((prevVar - var) << 1 | signBit). The decoder fills the clause
+// back to front, so callers see it in canonical order: by variable,
+// positive polarity first on ties. Reordering is sound — clauses are
+// sets: RUP and the checker's deletion matching are both insensitive to
+// literal order. Consecutive steps of a session mostly touch nearby
+// variables, so the anchor turns the largest number in each clause into
+// a small delta; after DEFLATE that roughly halves the trace against
+// coding every clause up from variable 0, as version 3 did.
 const (
 	binDratMagic = "BDRT"
 	// BinDratVersion is the on-disk version byte; readers reject files
 	// whose version they do not understand rather than misparse them.
-	BinDratVersion = 3
+	BinDratVersion = 4
 	// recTrailer tags the closing CRC-32 record.
 	recTrailer = 'c'
 )
@@ -60,6 +68,7 @@ type BinWriter struct {
 	rec     []byte  // record scratch
 	scratch []int32 // sorted-literal scratch (callers keep their slices)
 	cur     int     // current session, -1 before the first record
+	anchor  int32   // top variable of the last non-empty step since the 's' record
 	seen    int     // sessions opened so far
 	crc     uint32  // CRC-32 of the records written so far
 	err     error
@@ -111,17 +120,24 @@ func (bw *BinWriter) Step(sess int, op byte, lits []int32) error {
 			return err
 		}
 		bw.cur = sess
+		bw.anchor = 0
 	}
 	bw.scratch = append(bw.scratch[:0], lits...)
-	sortClauseLits(bw.scratch)
+	slices.SortFunc(bw.scratch, descLits)
 	bw.rec = appendUvarint(append(bw.rec[:0], op), uint64(len(bw.scratch)))
-	prev := int32(0)
-	for _, l := range bw.scratch {
+	prev := bw.anchor
+	for i, l := range bw.scratch {
 		v, sign := l, uint64(0)
 		if v < 0 {
 			v, sign = -v, 1
 		}
-		bw.rec = appendUvarint(bw.rec, uint64(v-prev)<<1|sign)
+		if i == 0 {
+			d := int64(v) - int64(prev)
+			bw.rec = appendUvarint(bw.rec, (uint64(d<<1)^uint64(d>>63))<<1|sign)
+			bw.anchor = v
+		} else {
+			bw.rec = appendUvarint(bw.rec, uint64(prev-v)<<1|sign)
+		}
 		prev = v
 	}
 	return bw.write(bw.rec)
@@ -166,16 +182,14 @@ func (bw *BinWriter) Close() error {
 	return bw.err
 }
 
-// sortClauseLits orders a clause canonically: by variable, positive
-// polarity first on ties.
-func sortClauseLits(lits []int32) {
-	sort.Slice(lits, func(i, j int) bool {
-		vi, vj := abs32(lits[i]), abs32(lits[j])
-		if vi != vj {
-			return vi < vj
-		}
-		return lits[i] > lits[j]
-	})
+// descLits orders a clause as the encoder writes it: by variable from
+// the top down, negative polarity first on ties — the reverse of the
+// canonical order the decoder yields.
+func descLits(a, b int32) int {
+	if va, vb := abs32(a), abs32(b); va != vb {
+		return int(vb) - int(va)
+	}
+	return int(a) - int(b)
 }
 
 func abs32(v int32) int32 {
@@ -213,7 +227,12 @@ func WalkDrat(r io.Reader, fn func(sess int, op byte, lits []int32) error) error
 	defer fr.Close()
 	rd := &recordReader{r: fr, buf: make([]byte, 1<<15)}
 	cur := -1
-	var lits []int32
+	anchor := int32(0) // the writer's anchor: see the format note above
+	// A clause is decoded into the tail of buf, each literal just before
+	// the previous one, so it comes out in canonical ascending order. buf
+	// grows at the front as literals actually arrive, never by the
+	// declared length: a huge n costs a few input bytes, not memory.
+	var buf []int32
 	for {
 		b, err := rd.ReadByte()
 		if err == io.EOF {
@@ -251,6 +270,7 @@ func WalkDrat(r io.Reader, fn func(sess int, op byte, lits []int32) error) error
 				return fmt.Errorf("proof: binary drat: implausible session index %d", u)
 			}
 			cur = int(u)
+			anchor = 0
 		case OpInput, OpLearn, OpDelete:
 			if cur < 0 {
 				return fmt.Errorf("proof: binary drat: step before session record")
@@ -262,35 +282,58 @@ func WalkDrat(r io.Reader, fn func(sess int, op byte, lits []int32) error) error
 			if n > maxClauseLen {
 				return fmt.Errorf("proof: binary drat: implausible clause length %d", n)
 			}
-			lits = lits[:0]
-			prev := int32(0)
+			p := len(buf)
+			prev := int64(anchor)
 			for i := uint64(0); i < n; i++ {
 				u, err := binary.ReadUvarint(rd)
 				if err != nil {
 					return fmt.Errorf("proof: binary drat: truncated clause")
 				}
-				d := u >> 1
-				if d > uint64(math.MaxInt32)-uint64(prev) {
-					return fmt.Errorf("proof: binary drat: literal overflow")
+				var v int64
+				if i == 0 {
+					z := u >> 1 // zigzag delta from the anchor
+					v = prev + (int64(z>>1) ^ -int64(z&1))
+					if v > math.MaxInt32 {
+						return fmt.Errorf("proof: binary drat: literal overflow")
+					}
+				} else {
+					v = prev - int64(u>>1) // downward gap
 				}
-				v := prev + int32(d)
 				if v == 0 {
 					return fmt.Errorf("proof: binary drat: zero literal")
 				}
-				l := v
-				if u&1 == 1 {
-					l = -v
+				if v < 0 {
+					return fmt.Errorf("proof: binary drat: negative variable")
 				}
-				lits = append(lits, l)
+				if p == 0 {
+					buf, p = growFront(buf)
+				}
+				p--
+				buf[p] = int32(v)
+				if u&1 == 1 {
+					buf[p] = -int32(v)
+				}
 				prev = v
 			}
-			if err := fn(cur, b, lits); err != nil {
+			if n > 0 {
+				anchor = abs32(buf[len(buf)-1])
+			}
+			if err := fn(cur, b, buf[p:]); err != nil {
 				return err
 			}
 		default:
 			return fmt.Errorf("proof: binary drat: unknown record 0x%02x", b)
 		}
 	}
+}
+
+// growFront returns a larger copy of buf whose old contents sit at its
+// end, and the index where they now start.
+func growFront(buf []int32) ([]int32, int) {
+	grown := make([]int32, 2*len(buf)+64)
+	p := len(grown) - len(buf)
+	copy(grown[p:], buf)
+	return grown, p
 }
 
 // recordReader reads the inflated record stream and keeps the CRC-32 of

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strconv"
 	"testing"
 
@@ -115,6 +116,48 @@ func TestDecodeRejectsMalformedNodes(t *testing.T) {
 	}
 	if err := evalAll(t, newTermLoader(ok), len(ok)); err != nil {
 		t.Fatalf("well-formed nodes rejected: %v", err)
+	}
+}
+
+// TestEvalDeepChain: a term segment is untrusted, and a chain of nodes
+// each naming the one before it is a few bytes per level. The
+// evaluator must walk such a DAG without recursing once per level: a
+// million-level chain, decoded through the term-segment loader as the
+// checker does, evaluates within a 64 MB goroutine stack.
+func TestEvalDeepChain(t *testing.T) {
+	const depth = 1_000_000
+	prevIdx := make([]int, depth) // prevIdx[i] == i, so prevIdx[i:i+1] names node i
+	nodes := make([]TNode, depth+2)
+	nodes[0] = TNode{K: "var", W: 8, N: "x"}
+	for i := 1; i <= depth; i++ {
+		prevIdx[i-1] = i - 1
+		nodes[i] = TNode{K: "bvnot", W: 8, A: prevIdx[i-1 : i]}
+	}
+	nodes[depth+1] = TNode{K: "=", A: []int{depth, depth - 1}}
+	defer debug.SetMaxStack(debug.SetMaxStack(64 << 20))
+	l := newTermLoader(nodes)
+	top, err := l.Term(depth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	levels := 0
+	for x := top; len(x.Args) > 0; x = x.Args[0] {
+		levels++
+	}
+	if levels != depth {
+		t.Fatalf("decoded chain has %d levels, want %d", levels, depth)
+	}
+	a := term.NewAssign()
+	a.BV["x"] = 0x5a
+	if v, err := a.EvalBV(top); err != nil || v != 0x5a {
+		t.Fatalf("EvalBV of an even bvnot chain = %#x, %v; want 0x5a", v, err)
+	}
+	eq, err := l.Term(depth + 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := a.EvalBool(eq); err != nil || v {
+		t.Fatalf("EvalBool(~y = y) = %v, %v; want false", v, err)
 	}
 }
 

@@ -42,7 +42,7 @@ func (a *Assign) EvalBV(t *Term) (uint64, error) {
 	default:
 		return 0, fmt.Errorf("smt: EvalBV on non-BV term %v", t)
 	}
-	v, err := a.eval(t, make(map[*Term]interface{}))
+	v, err := a.eval(t)
 	if err != nil {
 		return 0, err
 	}
@@ -54,26 +54,56 @@ func (a *Assign) EvalBool(t *Term) (bool, error) {
 	if t.SortKind() != SortBool {
 		return false, fmt.Errorf("smt: EvalBool on non-Bool term %v", t)
 	}
-	v, err := a.eval(t, make(map[*Term]interface{}))
+	v, err := a.eval(t)
 	if err != nil {
 		return false, err
 	}
 	return v.(bool), nil
 }
 
-func (a *Assign) eval(t *Term, cache map[*Term]interface{}) (interface{}, error) {
-	if v, ok := cache[t]; ok {
-		return v, nil
+// eval evaluates the DAG under root in post order — arguments left to
+// right, each shared node once — so the first node to fail is the
+// leftmost deepest one. It keeps an explicit stack: terms decoded from
+// certificates are untrusted, and a chain a million levels deep must not
+// overflow the goroutine stack.
+func (a *Assign) eval(root *Term) (interface{}, error) {
+	type frame struct {
+		t    *Term
+		next int // arguments pushed so far
 	}
-	v, err := a.eval1(t, cache)
-	if err != nil {
-		return nil, err
+	cache := make(map[*Term]interface{})
+	var stack []frame
+	var vals []interface{} // evaluated arguments of the open frames, in order
+	push := func(t *Term) {
+		if v, ok := cache[t]; ok {
+			vals = append(vals, v)
+		} else {
+			stack = append(stack, frame{t: t})
+		}
 	}
-	cache[t] = v
-	return v, nil
+	push(root)
+	for len(stack) > 0 {
+		f := &stack[len(stack)-1]
+		if f.next < len(f.t.Args) {
+			f.next++
+			push(f.t.Args[f.next-1])
+			continue
+		}
+		t := f.t
+		stack = stack[:len(stack)-1]
+		base := len(vals) - len(t.Args)
+		v, err := a.apply(t, vals[base:])
+		if err != nil {
+			return nil, err
+		}
+		cache[t] = v
+		vals = append(vals[:base], v)
+	}
+	return vals[0], nil
 }
 
-func (a *Assign) eval1(t *Term, cache map[*Term]interface{}) (interface{}, error) {
+// apply evaluates one node from the values of its arguments.
+func (a *Assign) apply(t *Term, args []interface{}) (interface{}, error) {
 	switch t.Kind {
 	case KConstBV:
 		return t.Val, nil
@@ -87,14 +117,6 @@ func (a *Assign) eval1(t *Term, cache map[*Term]interface{}) (interface{}, error
 		return memVal{base: t.Name, overlay: map[uint64]uint8{}}, nil
 	}
 
-	args := make([]interface{}, len(t.Args))
-	for i, arg := range t.Args {
-		v, err := a.eval(arg, cache)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = v
-	}
 	bv := func(i int) uint64 { return args[i].(uint64) }
 
 	switch t.Kind {

@@ -3,6 +3,7 @@ package tvd
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -249,8 +250,8 @@ func TestDaemonBackgroundScrub(t *testing.T) {
 }
 
 // TestScrubRetiresOldDratVersion: an entry whose trace predates the
-// current binary DRAT container version (a version-2 trace, without
-// the CRC trailer) is intact as far as the store's CRCs go, so Get
+// current binary DRAT container version (the version just retired) is
+// intact as far as the store's CRCs go, so Get
 // serves it; end-to-end scrub re-verification rejects the trace and
 // quarantines the entry, after which the key is a miss and revalidates
 // to the same class with a current trace.
@@ -276,7 +277,7 @@ func TestScrubRetiresOldDratVersion(t *testing.T) {
 		}
 		for j, a := range e.Artifacts {
 			if strings.HasSuffix(a.Name, proof.DratSuffix) && len(a.Data) > 4 {
-				e.Artifacts[j].Data[4] = 2 // the version byte
+				e.Artifacts[j].Data[4] = proof.BinDratVersion - 1 // the version byte
 				old, oldIndex = k, i
 			}
 		}
@@ -294,12 +295,12 @@ func TestScrubRetiresOldDratVersion(t *testing.T) {
 		t.Fatal("an old-version trace must pass the store's own CRC check")
 	}
 	if err := store.VerifyEntry(mustPeek(t, s.store, old)); err == nil ||
-		!strings.Contains(err.Error(), "binary drat version 2") {
-		t.Fatalf("VerifyEntry of a version-2 trace: %v, want a version rejection", err)
+		!strings.Contains(err.Error(), fmt.Sprintf("binary drat version %d", proof.BinDratVersion-1)) {
+		t.Fatalf("VerifyEntry of a retired-version trace: %v, want a version rejection", err)
 	}
 	st := s.store.ScrubOnce(store.ScrubConfig{Fraction: 1})
 	if st.Quarantined != 1 || st.BadVersion != 0 {
-		t.Fatalf("ScrubOnce over a version-2 trace: %+v, want 1 quarantined", st)
+		t.Fatalf("ScrubOnce over a retired-version trace: %+v, want 1 quarantined", st)
 	}
 	if _, ok := s.store.Get(old); ok {
 		t.Fatal("quarantined old-version entry still served")

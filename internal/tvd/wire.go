@@ -166,8 +166,10 @@ type MetricsSnapshot struct {
 // the validator's semantics or its certificate formats change
 // incompatibly (old entries then simply miss). v2: binary DRAT traces
 // gained a CRC trailer (container version 3), which the checker
-// requires, so v1 entries could no longer be re-verified.
-const keyVersion = "tvd/v2"
+// requires, so v1 entries could no longer be re-verified. v3: literals
+// became anchor-coded (container version 4), so v2 traces no longer
+// decode.
+const keyVersion = "tvd/v3"
 
 // JobKey derives the content address of one job from its semantic
 // inputs: the pipeline version, the function, the module text, the ISel
