@@ -42,16 +42,16 @@ microbench:
 	go test -run '^$$' -bench . -benchtime 1x ./internal/sat ./internal/smt ./internal/tv ./internal/proof
 
 # bench reproduces the Figure 6 comparisons — cache on/off, proof
-# emission on/off, tracing on/off, inprocessing/portfolio ablations,
-# cube-and-conquer tail legs with the adaptive portfolio, cold vs warm
-# daemon runs against the persistent result store — and writes the
-# machine-readable artifacts BENCH_PR2.json, BENCH_PR3.json,
-# BENCH_PR5.json, BENCH_PR6.json, BENCH_PR8.json, and BENCH_PR9.json.
-# BENCH_PR7.json (legacy vs streaming certificates) is frozen history:
-# the legacy format it compared against no longer exists.
+# emission on/off, tracing on/off, cube-and-conquer tail legs with the
+# adaptive portfolio, cold vs warm daemon runs against the persistent
+# result store — and writes the machine-readable artifacts
+# BENCH_PR2.json, BENCH_PR3.json, BENCH_PR5.json, BENCH_PR8.json, and
+# BENCH_PR9.json. BENCH_PR6.json (inprocessing × portfolio ablations) and
+# BENCH_PR7.json (legacy vs streaming certificates) are frozen history:
+# the switches and the format they compared against no longer exist.
 bench:
 	go test -run '^$$' -bench 'BenchmarkFigure6' -benchtime 1x .
-	WRITE_BENCH_JSON=1 go test -timeout 60m -run 'TestBenchPR2JSON|TestBenchPR3JSON|TestBenchPR5JSON|TestBenchPR6JSON|TestBenchPR8JSON|TestBenchPR9JSON' -v .
+	WRITE_BENCH_JSON=1 go test -timeout 60m -run 'TestBenchPR2JSON|TestBenchPR3JSON|TestBenchPR5JSON|TestBenchPR8JSON|TestBenchPR9JSON' -v .
 
 benchall:
 	go test -bench=. -benchmem

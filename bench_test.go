@@ -615,10 +615,8 @@ func TestBenchPR3JSON(t *testing.T) {
 	}
 }
 
-// BenchmarkAblationNoVCCache and BenchmarkAblationNoClauseReduce are the
-// EXPERIMENTS.md ablation rows for the two solver-side accelerators
-// introduced with the VC cache work. They reuse the same 10-function
-// corpus as the other ablations so the table stays comparable.
+// BenchmarkAblationNoVCCache is the EXPERIMENTS.md ablation row for the
+// run-wide VC result cache.
 func BenchmarkAblationNoVCCache(b *testing.B) {
 	// tv.Validate creates a fresh solver per function with no shared
 	// cache, so the per-function ablation baseline is runAblation itself;
@@ -630,10 +628,6 @@ func BenchmarkAblationNoVCCache(b *testing.B) {
 			b.Fatalf("counts diverged: got %s want %s", got, base)
 		}
 	}
-}
-
-func BenchmarkAblationNoClauseReduce(b *testing.B) {
-	runAblation(b, core.Options{DisableClauseDBReduction: true})
 }
 
 // TestBenchPR5JSON writes the telemetry overhead artifact BENCH_PR5.json
@@ -843,112 +837,6 @@ func TestBenchPR8JSON(t *testing.T) {
 	}
 	t.Logf("BENCH_PR8.json: cold %.2fs, warm %.2fs (%.1fx), %d/%d store hits, proofcheck %d queries 0 rejections",
 		cold.WallSeconds, warm.WallSeconds, artifact.WallRatio, warm.StoreHits, len(fns), report.Queries)
-}
-
-// TestBenchPR6JSON writes the solver-acceleration artifact BENCH_PR6.json
-// (the `make bench` target): the Figure 6 corpus run — deterministic
-// term-node budget like every other BENCH artifact, so classes cannot
-// depend on timing — across the four inprocessing × portfolio ablation
-// combinations. Class counts must be byte-identical to the serial
-// baseline in all four: both techniques are accelerators, never
-// verdict-changers. A second leg squeezes the per-function budget to a
-// 2s wall clock so a Timeout tail exists, and records the tail.smt
-// histogram with both accelerators off versus on — the PR's motivating
-// metric (timed classes are inherently timing-dependent, so that leg
-// records the tail without asserting counts). Gated behind
-// WRITE_BENCH_JSON like the other artifact writers.
-func TestBenchPR6JSON(t *testing.T) {
-	if os.Getenv("WRITE_BENCH_JSON") == "" {
-		t.Skip("set WRITE_BENCH_JSON=1 to write BENCH_PR6.json")
-	}
-	const workers = 4
-	type configResult struct {
-		WallSeconds  float64        `json:"wall_seconds"`
-		CPUSeconds   float64        `json:"cpu_seconds"`
-		Counts       map[string]int `json:"class_counts"`
-		Subsumed     int64          `json:"subsumed_clauses,omitempty"`
-		Strengthened int64          `json:"strengthened_clauses,omitempty"`
-		Vivified     int64          `json:"vivified_clauses,omitempty"`
-		Eliminated   int64          `json:"eliminated_vars,omitempty"`
-		TailSMTCount int64          `json:"tail_smt_count"`
-		TailSMTSecs  float64        `json:"tail_smt_seconds"`
-	}
-	measure := func(budget tv.Budget, noInprocess, noPortfolio bool) configResult {
-		cfg := figure6Config(workers, true)
-		cfg.Budget = budget
-		cfg.Checker = core.Options{DisableInprocess: noInprocess}
-		cfg.DisablePortfolio = noPortfolio
-		start := time.Now()
-		sum := harness.Run(cfg)
-		tail := sum.Metrics.Hist("tail.smt")
-		return configResult{
-			WallSeconds:  time.Since(start).Seconds(),
-			CPUSeconds:   sum.CPUTime.Seconds(),
-			Counts:       sum.ClassCounts(),
-			Subsumed:     sum.SMTStats.SubsumedClauses,
-			Strengthened: sum.SMTStats.StrengthenedClauses,
-			Vivified:     sum.SMTStats.VivifiedClauses,
-			Eliminated:   sum.SMTStats.EliminatedVars,
-			TailSMTCount: tail.Count,
-			TailSMTSecs:  time.Duration(tail.Sum).Seconds(),
-		}
-	}
-
-	full := measure(fig6ParallelBudget, false, false)
-	noInproc := measure(fig6ParallelBudget, true, false)
-	noPortfolio := measure(fig6ParallelBudget, false, true)
-	bothOff := measure(fig6ParallelBudget, true, true)
-	base := fig6BaselineCounts()
-	for name, r := range map[string]configResult{
-		"full": full, "no-inprocess": noInproc, "no-portfolio": noPortfolio, "both-off": bothOff,
-	} {
-		if got := fmt.Sprint(r.Counts); got != base {
-			t.Errorf("%s class counts diverged from the serial baseline:\n got %s\nwant %s",
-				name, got, base)
-		}
-	}
-
-	// The tail leg: a 2s budget manufactures the Timeout tail the 20s run
-	// no longer has, so the tail.smt reduction is observable.
-	tight := tv.Budget{Timeout: 2 * time.Second, MaxTermNodes: fig6ParallelBudget.MaxTermNodes}
-	tailOff := measure(tight, true, true)
-	tailOn := measure(tight, false, false)
-	if tailOn.TailSMTCount >= tailOff.TailSMTCount && tailOn.TailSMTSecs >= tailOff.TailSMTSecs {
-		t.Errorf("tail.smt not reduced: off count=%d sum=%.2fs, on count=%d sum=%.2fs",
-			tailOff.TailSMTCount, tailOff.TailSMTSecs, tailOn.TailSMTCount, tailOn.TailSMTSecs)
-	}
-
-	artifact := struct {
-		Benchmark    string       `json:"benchmark"`
-		Corpus       int          `json:"corpus_functions"`
-		Workers      int          `json:"workers"`
-		Full         configResult `json:"inprocess_and_portfolio"`
-		NoInprocess  configResult `json:"no_inprocess"`
-		NoPortfolio  configResult `json:"no_portfolio"`
-		BothOff      configResult `json:"both_off"`
-		TightBothOff configResult `json:"tight_budget_both_off"`
-		TightFull    configResult `json:"tight_budget_full"`
-	}{
-		Benchmark:    "Figure6-inprocess-portfolio",
-		Corpus:       figure6Corpus,
-		Workers:      workers,
-		Full:         full,
-		NoInprocess:  noInproc,
-		NoPortfolio:  noPortfolio,
-		BothOff:      bothOff,
-		TightBothOff: tailOff,
-		TightFull:    tailOn,
-	}
-	data, err := json.MarshalIndent(artifact, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_PR6.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("BENCH_PR6.json: full %.2fs, no-inprocess %.2fs, no-portfolio %.2fs, both-off %.2fs; tight tail.smt off %d/%.2fs on %d/%.2fs",
-		full.WallSeconds, noInproc.WallSeconds, noPortfolio.WallSeconds, bothOff.WallSeconds,
-		tailOff.TailSMTCount, tailOff.TailSMTSecs, tailOn.TailSMTCount, tailOn.TailSMTSecs)
 }
 
 // TestBenchPR9JSON writes the cube-and-conquer / adaptive-portfolio

@@ -25,10 +25,9 @@
 // experiment corpus across a worker pool; results are identical to a
 // serial run (rows stay in corpus order), only faster. All experiment
 // workers share one verification-condition result cache keyed by
-// alpha-invariant canonical term hashes; -no-vc-cache and
-// -no-clause-reduce are the ablations for the two solver-side
-// accelerators. -cpuprofile/-memprofile write pprof profiles for corpus
-// runs.
+// alpha-invariant canonical term hashes; -no-vc-cache disables it, and
+// -negative-form, -no-portfolio and -no-cube are the other ablation
+// switches. -cpuprofile/-memprofile write pprof profiles for corpus runs.
 package main
 
 import (
@@ -68,8 +67,6 @@ func run() int {
 	inadequate := flag.Int("inadequate-every", 150, "validate every n-th function with coarse liveness (0 = never)")
 	negForm := flag.Bool("negative-form", false, "ablation: disable the positive-form SMT optimization")
 	noVCCache := flag.Bool("no-vc-cache", false, "ablation: disable the run-wide VC result cache")
-	noClauseReduce := flag.Bool("no-clause-reduce", false, "ablation: disable LBD learned-clause database reduction")
-	noInprocess := flag.Bool("no-inprocess", false, "ablation: disable SatELite-style SAT inprocessing")
 	noPortfolio := flag.Bool("no-portfolio", false, "ablation: disable the probe/cube escalation ladder")
 	noCube := flag.Bool("no-cube", false, "ablation: disable cube-and-conquer escalation for the hardest queries")
 	progress := flag.Bool("progress", false, "print per-function progress")
@@ -117,10 +114,8 @@ func run() int {
 
 	budget := tv.Budget{Timeout: *timeout, MaxTermNodes: *maxNodes, ConflictBudget: *conflicts}
 	copts := core.Options{
-		DisablePositiveForm:      *negForm,
-		DisableClauseDBReduction: *noClauseReduce,
-		DisableInprocess:         *noInprocess,
-		DisableCube:              *noCube,
+		DisablePositiveForm: *negForm,
+		DisableCube:         *noCube,
 	}
 
 	code := 0

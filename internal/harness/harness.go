@@ -433,10 +433,10 @@ func (s *Summary) RenderStats(w io.Writer) {
 			100*float64(s.SMTStats.CacheHits)/float64(looked), s.SMTStats.CacheBytes)
 	}
 	if n := s.SMTStats.SubsumedClauses + s.SMTStats.StrengthenedClauses +
-		s.SMTStats.VivifiedClauses + s.SMTStats.EliminatedVars; n > 0 {
-		fmt.Fprintf(w, "Inprocessing: %d clauses subsumed, %d strengthened, %d vivified, %d vars eliminated\n",
+		s.SMTStats.VivifiedClauses; n > 0 {
+		fmt.Fprintf(w, "Inprocessing: %d clauses subsumed, %d strengthened, %d vivified\n",
 			s.SMTStats.SubsumedClauses, s.SMTStats.StrengthenedClauses,
-			s.SMTStats.VivifiedClauses, s.SMTStats.EliminatedVars)
+			s.SMTStats.VivifiedClauses)
 	}
 	// The ladder's gate decisions for queries that outlived a probe.
 	c := s.Metrics.Counter

@@ -13,9 +13,9 @@ import (
 
 // TestPortfolioRowsMatchAblation: the escalation ladder is a pure
 // accelerator — the outcome table must be byte-identical to a run with
-// the ladder and inprocessing disabled. After=1 and CubeAfter=1 escalate every query that survives a
-// single probe, maximizing the chance a cube conquest supplies the
-// verdict.
+// the ladder disabled. After=1 and CubeAfter=1 escalate every query that
+// survives a single probe, maximizing the chance a cube conquest supplies
+// the verdict.
 func TestPortfolioRowsMatchAblation(t *testing.T) {
 	// Term-node budgets only: wall-clock budgets classify
 	// timing-dependently under the race detector's slowdown.
@@ -23,7 +23,6 @@ func TestPortfolioRowsMatchAblation(t *testing.T) {
 	baseline := Run(Config{
 		Profile: parallelProfile, Budget: budget, Workers: 4,
 		DisablePortfolio: true,
-		Checker:          core.Options{DisableInprocess: true},
 	})
 	laddered := Run(Config{
 		Profile: parallelProfile, Budget: budget, Workers: 4,
@@ -49,6 +48,49 @@ func TestPortfolioRowsMatchAblation(t *testing.T) {
 		t.Errorf("RenderStats shows no Ladder line for an escalating run:\n%s", stats.String())
 	}
 	t.Logf("escalations=%d", laddered.SMTStats.CubeEscalations)
+}
+
+// TestColdLadderMatchesAblation runs one function through the cold-SMT
+// ablation (a fresh SAT instance per query) with every query escalated to
+// cube-and-conquer, against the same function with the ladder off. The
+// cubes are built from the query solver's own CNF and conquered on it
+// under assumptions, so every variable the cuber branches on must be one
+// the solver can assume; the row must match the ladder-off row and
+// succeed.
+func TestColdLadderMatchesAblation(t *testing.T) {
+	var fns []corpus.Function
+	for _, f := range corpus.Generate(corpus.GCCLike(40)) {
+		if f.Name == "fn0029" {
+			fns = append(fns, f)
+		}
+	}
+	if len(fns) != 1 {
+		t.Fatalf("corpus holds %d functions named fn0029, want 1", len(fns))
+	}
+	budget := tv.Budget{MaxTermNodes: 4_000_000}
+	baseline := Run(Config{
+		Functions: fns, Budget: budget, Workers: 1,
+		DisablePortfolio: true,
+		Checker:          core.Options{DisableIncrementalSMT: true},
+	})
+	laddered := Run(Config{
+		Functions: fns, Budget: budget, Workers: 1,
+		Checker: core.Options{
+			DisableIncrementalSMT: true,
+			Portfolio:             &smt.Portfolio{After: 1, CubeAfter: 1},
+		},
+	})
+	b, r := baseline.Rows[0], laddered.Rows[0]
+	if b.Fn != r.Fn || b.Class != r.Class || b.CodeSize != r.CodeSize {
+		t.Errorf("rows differ: baseline {%s %v %d} vs laddered {%s %v %d}",
+			b.Fn, b.Class, b.CodeSize, r.Fn, r.Class, r.CodeSize)
+	}
+	if r.Class != tv.ClassSucceeded {
+		t.Errorf("laddered row is %v, want %v (err: %v)", r.Class, tv.ClassSucceeded, r.Err)
+	}
+	if laddered.SMTStats.CubeEscalations == 0 {
+		t.Error("no query escalated: the ladder never engaged")
+	}
 }
 
 // TestPortfolioProofsVerify: a proof-emitting run with aggressive

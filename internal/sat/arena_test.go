@@ -56,9 +56,7 @@ func TestCompactionPreservesSearch(t *testing.T) {
 	const shared, rounds = 30, 40
 	mk := func() *Solver {
 		s := New()
-		s.LBD = true
 		s.ReduceInterval = 50
-		s.Inprocess = true
 		s.InprocessMin = 1
 		s.Proof = &ProofLog{}
 		for v := 0; v < shared; v++ {
@@ -143,7 +141,6 @@ func TestCompactionPreservesSearch(t *testing.T) {
 // LBD run reclaims its deleted clauses on its own.
 func TestAutoCompactionTriggers(t *testing.T) {
 	s := New()
-	s.LBD = true
 	s.ReduceInterval = 50
 	pigeonholeSolver(s, 8, 7)
 	if got := s.Solve(); got != Unsat {

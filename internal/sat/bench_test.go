@@ -29,7 +29,6 @@ func BenchmarkSolvePigeonhole(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s := New()
-		s.LBD = true
 		pigeonholeSolver(s, 8, 7)
 		if st := s.Solve(); st != Unsat {
 			b.Fatalf("got %v, want Unsat", st)
@@ -46,7 +45,6 @@ func BenchmarkSolveRandom3CNF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for seed := int64(1); seed <= 4; seed++ {
 			s := New()
-			s.LBD = true
 			for v := 0; v < n; v++ {
 				s.NewVar()
 			}
@@ -69,8 +67,6 @@ func BenchmarkSolveIncremental(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rng := rand.New(rand.NewSource(42))
 		s := New()
-		s.LBD = true
-		s.Inprocess = true
 		for v := 0; v < n; v++ {
 			s.NewVar()
 		}

@@ -130,7 +130,7 @@ func BuildCubes(nvars int, clauses [][]Lit, units []Lit, opt CubeOptions) *CubeS
 	}
 	var cands []cand
 	for v := 0; v < nvars; v++ {
-		if sc.assigns[v] != lUndef || sc.isEliminated(v) || occ[v] == 0 {
+		if sc.assigns[v] != lUndef || occ[v] == 0 {
 			continue
 		}
 		cands = append(cands, cand{v: v, score: occ[v], tie: splitmix64(seed + uint64(v))})

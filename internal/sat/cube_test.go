@@ -130,7 +130,6 @@ func TestDifferentialCubeInPlace(t *testing.T) {
 		}
 		cubed++
 		s := newLoggedSolver(nvars, clauses)
-		s.LBD = true
 		if winner := conquerInPlace(t, s, assumps, cs); winner >= 0 {
 			if !want {
 				t.Fatalf("iter %d: cube %v satisfiable but brute force says unsat\ncnf: %v",

@@ -279,7 +279,6 @@ func pigeonhole(pigeons, holes int) (int, [][]int32) {
 func TestDifferentialPigeonholeWithDeletions(t *testing.T) {
 	nvars, clauses := pigeonhole(6, 5)
 	s := newLoggedSolver(nvars, clauses)
-	s.LBD = true
 	s.ReduceInterval = 1
 	if got := s.Solve(); got != sat.Unsat {
 		t.Fatalf("PHP(6,5) solved as %v, want unsat", got)

@@ -36,7 +36,6 @@ func pigeonholeSolver(s *Solver, pigeons, holes int) {
 // actually fire and delete clauses — soundness under clause deletion.
 func TestLBDPigeonholeUnsat(t *testing.T) {
 	s := New()
-	s.LBD = true
 	s.ReduceInterval = 50
 	pigeonholeSolver(s, 8, 7)
 	if got := s.Solve(); got != Unsat {
@@ -51,25 +50,11 @@ func TestLBDPigeonholeUnsat(t *testing.T) {
 	t.Logf("conflicts=%d reduces=%d removed=%d", s.Conflicts, s.Reduces, s.Removed)
 }
 
-// TestLBDDisabledByDefault: the zero-value solver must never run the LBD
-// schedule — legacy behavior is reproduced bit for bit.
-func TestLBDDisabledByDefault(t *testing.T) {
-	s := New()
-	pigeonholeSolver(s, 7, 6)
-	if got := s.Solve(); got != Unsat {
-		t.Fatalf("Solve() = %v, want Unsat", got)
-	}
-	if s.Reduces != 0 || s.Removed != 0 {
-		t.Fatalf("LBD reduction ran with LBD=false: reduces=%d removed=%d", s.Reduces, s.Removed)
-	}
-}
-
 // TestLBDSatInstanceFindsModel: clause deletion must not lose solutions.
 // A satisfiable instance (pigeons == holes) under an aggressive schedule
 // still yields a valid assignment.
 func TestLBDSatInstanceFindsModel(t *testing.T) {
 	s := New()
-	s.LBD = true
 	s.ReduceInterval = 50
 	const n = 8
 	pigeonholeSolver(s, n, n)
@@ -120,7 +105,6 @@ func TestLBDRandomCNFAgainstBruteForce(t *testing.T) {
 			cnf = append(cnf, cl)
 		}
 		s := New()
-		s.LBD = true
 		s.ReduceInterval = 5 // fire constantly on these tiny instances
 		for i := 0; i < nVars; i++ {
 			s.NewVar()
@@ -164,7 +148,6 @@ func TestLBDRandomCNFAgainstBruteForce(t *testing.T) {
 // Solve calls (the incremental SMT usage pattern) must preserve verdicts.
 func TestLBDIncrementalAssumptions(t *testing.T) {
 	s := New()
-	s.LBD = true
 	s.ReduceInterval = 20
 
 	// XOR chain x0 ^ x1 ^ ... ^ x7 = parity; selector a activates a unit

@@ -148,29 +148,12 @@ type Solver struct {
 	// client that asked for it has gone away.
 	Cancel *Stop
 
-	// Inprocess enables SatELite-style inprocessing — clause subsumption,
-	// self-subsuming resolution, and vivification — before search and at
-	// restart boundaries (see preprocess.go). Every rewrite it performs
-	// is logged as a RUP-checkable trace step, so it is proof-safe, and
-	// it only adds/deletes implied clauses, so it is sound on incremental
-	// instances too.
-	Inprocess bool
-	// InprocessElim additionally enables bounded variable elimination in
-	// the initial inprocessing pass. Elimination preserves satisfiability
-	// but not equivalence — models are repaired by reconstruction, and
-	// clauses added later may not mention eliminated variables — so it
-	// must only be enabled on one-shot instances. Assumption variables
-	// must be frozen with Freeze. Requires Inprocess.
-	InprocessElim bool
-	// ElimUnchecked permits the elimination rewrite that is not
-	// RUP-checkable (pure-literal elimination: its unit is justified by
-	// satisfiability preservation, not implication, so no trace step can
-	// certify it). Off by default: with Proof != nil only resolution-
-	// based elimination — whose added resolvents are RUP — runs.
-	ElimUnchecked bool
 	// InprocessMin is the minimum problem-clause count before any
 	// inprocessing pass runs (0 = a built-in default, see
-	// defaultInprocessMin). A subsume/vivify scan over a tiny instance
+	// defaultInprocessMin). Inprocessing — clause subsumption, self-
+	// subsuming resolution, and vivification before search and at
+	// restart boundaries (see preprocess.go) — is part of every solve
+	// above that size. A subsume/vivify scan over a tiny instance
 	// costs more than it can possibly save, and most corpus queries are
 	// tiny — the threshold keeps them on the plain search path while the
 	// pathological instances that motivate inprocessing (thousands of
@@ -178,19 +161,15 @@ type Solver struct {
 	// the passes on small formulas.
 	InprocessMin int
 
-	// LBD enables Glucose-style learned-clause database management: each
-	// learnt clause is tagged with its literal block distance (number of
-	// distinct decision levels among its literals), clauses touched during
-	// conflict analysis are bumped and their LBD refreshed downward, and
-	// the database is reduced periodically at restart boundaries keeping
+	// ReduceInterval is the conflict gap between learnt-clause database
+	// reductions (0 = default 2000). The gap grows by 300 per reduction
+	// performed. Learnt clauses are managed Glucose-style: each is tagged
+	// with its literal block distance (number of distinct decision levels
+	// among its literals), clauses touched during conflict analysis are
+	// bumped and their LBD refreshed downward, and each reduction keeps
 	// the glue set (LBD ≤ 2), binary, and locked clauses. This is what
 	// keeps a long-lived incremental instance from drowning in stale
-	// learnt clauses over thousands of queries. Off by default so the
-	// zero-value solver reproduces the legacy activity-threshold policy
-	// bit for bit.
-	LBD bool
-	// ReduceInterval is the conflict gap between LBD database reductions
-	// (0 = default 2000). The gap grows by 300 per reduction performed.
+	// learnt clauses over thousands of queries.
 	ReduceInterval int64
 
 	// Proof, when non-nil, receives a DRAT-style trace of the run: input
@@ -208,16 +187,12 @@ type Solver struct {
 	Subsumed     int64 // clauses deleted as subsumed or root-satisfied
 	Strengthened int64 // clauses shortened by self-subsuming resolution
 	Vivified     int64 // clauses shortened by vivification
-	Eliminated   int64 // variables removed by bounded variable elimination
 
 	lbdSeen    []int64 // per-level stamp array for computeLBD
 	lbdStamp   int64
 	nextReduce int64
 
 	// inprocessing state (see preprocess.go)
-	frozen        []bool
-	eliminated    []bool
-	elimStack     []elimEntry
 	inprocRuns    int64
 	inprocClauses int
 	nextInproc    int64
@@ -296,13 +271,6 @@ func (s *Solver) addClause(lits []Lit, learnt bool) bool {
 	}
 	if s.decisionLevel() != 0 {
 		panic("sat: AddClause above decision level 0")
-	}
-	if len(s.elimStack) > 0 {
-		for _, l := range lits {
-			if s.isEliminated(l.Var()) {
-				panic("sat: clause mentions eliminated variable (Freeze it before Solve)")
-			}
-		}
 	}
 	// Log the clause as given: the proof checker replays the original
 	// formula, so normalization below must not be reflected in the trace.
@@ -456,7 +424,7 @@ func (s *Solver) analyze(confl cref) ([]Lit, int) {
 	idx := len(s.trail) - 1
 
 	for {
-		if s.LBD && s.ca.learnt(confl) {
+		if s.ca.learnt(confl) {
 			// Reward clauses that keep participating in conflicts and let
 			// their LBD improve: a clause that has become glue is worth
 			// keeping regardless of the level pattern it was learnt at.
@@ -591,7 +559,7 @@ func (s *Solver) pickBranchLit() Lit {
 		if !ok {
 			return -1
 		}
-		if s.assigns[v] == lUndef && !s.isEliminated(v) {
+		if s.assigns[v] == lUndef {
 			s.Decisions++
 			return MkLit(v, s.polarity[v])
 		}
@@ -617,11 +585,11 @@ func (s *Solver) computeLBD(lits []Lit) int32 {
 	return n
 }
 
-// reduceDBLBD is the LBD-mode database reduction: glue clauses (LBD ≤ 2),
+// reduceDB is the learnt-clause database reduction: glue clauses (LBD ≤ 2),
 // binary clauses, and locked clauses are kept unconditionally; of the
 // rest, the worse half — highest LBD first, lowest activity as tiebreak —
 // is deleted. Deleted clauses are detached lazily by propagate.
-func (s *Solver) reduceDBLBD() {
+func (s *Solver) reduceDB() {
 	var removable []cref
 	for _, c := range s.learnts {
 		if s.ca.size(c) <= 2 || s.ca.lbd(c) <= 2 || s.locked(c) {
@@ -654,12 +622,12 @@ func (s *Solver) reduceDBLBD() {
 	s.Reduces++
 }
 
-// maybeReduceLBD runs the periodic LBD reduction schedule; called at
+// maybeReduceDB runs the periodic reduction schedule; called at
 // restart boundaries (decision level 0), mirroring Glucose: reduce every
 // ReduceInterval conflicts, with the interval stretching by 300 per
 // reduction so a long-lived incremental instance settles into a steady
 // clause budget instead of thrashing.
-func (s *Solver) maybeReduceLBD() {
+func (s *Solver) maybeReduceDB() {
 	interval := s.ReduceInterval
 	if interval <= 0 {
 		interval = 2000
@@ -668,33 +636,9 @@ func (s *Solver) maybeReduceLBD() {
 		s.nextReduce = interval
 	}
 	if s.Conflicts >= s.nextReduce {
-		s.reduceDBLBD()
+		s.reduceDB()
 		s.nextReduce = s.Conflicts + interval + 300*s.Reduces
 	}
-}
-
-// reduceDB removes half of the learnt clauses with lowest activity.
-func (s *Solver) reduceDB() {
-	if len(s.learnts) < 2 {
-		return
-	}
-	// Partial selection: find median activity by sampling (simple full sort
-	// avoided; use nth-element style two-pass threshold).
-	sum := 0.0
-	for _, c := range s.learnts {
-		sum += s.ca.act(c)
-	}
-	threshold := sum / float64(len(s.learnts))
-	kept := s.learnts[:0]
-	for _, c := range s.learnts {
-		if s.ca.size(c) > 2 && s.ca.act(c) < threshold && !s.locked(c) {
-			s.ca.free(c)
-			s.logDelete(s.ca.lits(c))
-		} else {
-			kept = append(kept, c)
-		}
-	}
-	s.learnts = kept
 }
 
 func (s *Solver) locked(c cref) bool {
@@ -724,22 +668,17 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 	}
 	s.model = nil
 	defer s.cancelUntil(0)
-	for _, a := range assumptions {
-		if s.isEliminated(a.Var()) {
-			panic("sat: assumption on eliminated variable (Freeze it before Solve)")
-		}
-	}
 
-	if s.Inprocess && s.inprocessDue() {
+	if s.inprocessDue() {
 		if !s.inprocess(true) {
 			return Unsat
 		}
 	}
 	s.maybeCompact()
 	if s.nextInproc == 0 {
-		// No pass has run yet (instance below the size threshold, or
-		// inprocessing just enabled): earn some conflicts before the
-		// first restart-boundary pass instead of firing immediately.
+		// No pass has run yet (instance below the size threshold): earn
+		// some conflicts before the first restart-boundary pass instead
+		// of firing immediately.
 		s.nextInproc = s.Conflicts + 4000
 	}
 
@@ -749,15 +688,13 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 	// instance lifetime: a long-lived incremental instance issuing many
 	// cheap queries must not exhaust it cumulatively.
 	propsAtStart := s.Propagations
-	maxLearnts := float64(len(s.clauses))/3 + 100
 	for {
 		budget := luby(restartIdx) * restartBase
 		restartIdx++
-		st := s.search(budget, assumptions, &maxLearnts)
+		st := s.search(budget, assumptions)
 		if st == Sat {
 			s.model = make([]lbool, len(s.assigns))
 			copy(s.model, s.assigns)
-			s.reconstructModel()
 			return Sat
 		}
 		if st == Unsat {
@@ -778,10 +715,8 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		}
 		s.Restarts++
 		s.cancelUntil(0)
-		if s.LBD {
-			s.maybeReduceLBD()
-		}
-		if s.Inprocess && s.Conflicts >= s.nextInproc && len(s.clauses) >= s.inprocMin() {
+		s.maybeReduceDB()
+		if s.Conflicts >= s.nextInproc && len(s.clauses) >= s.inprocMin() {
 			if !s.inprocess(false) {
 				return Unsat
 			}
@@ -792,7 +727,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 
 // search runs CDCL until a verdict, a restart budget expiry (returns
 // Unknown), or conflict exhaustion.
-func (s *Solver) search(conflBudget int64, assumptions []Lit, maxLearnts *float64) Status {
+func (s *Solver) search(conflBudget int64, assumptions []Lit) Status {
 	var conflicts int64
 	for {
 		confl := s.propagate()
@@ -819,11 +754,8 @@ func (s *Solver) search(conflBudget int64, assumptions []Lit, maxLearnts *float6
 			}
 			learnt, btLevel := s.analyze(confl)
 			s.logLearnt(learnt)
-			var lbd int32
-			if s.LBD {
-				// Levels are only valid before backtracking.
-				lbd = s.computeLBD(learnt)
-			}
+			// Levels are only valid before backtracking.
+			lbd := s.computeLBD(learnt)
 			s.cancelUntil(btLevel)
 			if len(learnt) == 1 {
 				s.uncheckedEnqueue(learnt[0], crefUndef)
@@ -841,12 +773,6 @@ func (s *Solver) search(conflBudget int64, assumptions []Lit, maxLearnts *float6
 		}
 		if conflicts >= conflBudget {
 			return Unknown
-		}
-		// LBD mode reduces at restart boundaries (see Solve); the in-search
-		// activity-threshold policy is the legacy fallback.
-		if !s.LBD && float64(len(s.learnts)) > *maxLearnts+float64(len(s.trail)) {
-			s.reduceDB()
-			*maxLearnts *= 1.1
 		}
 		// Establish pending assumptions one level at a time, propagating
 		// each before the next (the outer loop runs propagate first).

@@ -20,7 +20,6 @@ func BenchmarkCheckSatIncremental(b *testing.B) {
 		ctx := NewContext()
 		s := NewSolver(ctx)
 		s.Incremental = true
-		s.Inprocess = true
 		var sat, unsat int
 		for q := 0; q < queries; q++ {
 			x := namedRandomTerm(ctx, rng, 8, 4, names)
@@ -60,7 +59,6 @@ func BenchmarkCheckSatPathChain(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := NewSolver(ctx)
 		s.Incremental = true
-		s.Inprocess = true
 		for _, f := range chain {
 			if _, _, err := s.CheckSat(f); err != nil {
 				b.Fatal(err)

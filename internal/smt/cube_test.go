@@ -23,11 +23,9 @@ func TestCubeMatchesPlain(t *testing.T) {
 		ctx := NewContext()
 		cubed := NewSolver(ctx)
 		cubed.Portfolio = &Portfolio{After: 1, CubeAfter: 1}
-		cubed.Inprocess = true
 		inc := NewSolver(ctx)
 		inc.Incremental = true
 		inc.Portfolio = &Portfolio{After: 1, CubeAfter: 1}
-		inc.Inprocess = true
 
 		queries := []*Term{
 			distinctUnder(ctx, "u", 6, 3, 5), // unsat
@@ -126,7 +124,6 @@ func TestCubeCertsVerify(t *testing.T) {
 				s.Portfolio = &Portfolio{After: 1, CubeAfter: 1}
 				s.DisableCube = disableCube
 				s.Metrics = telemetry.NewMetrics()
-				s.Inprocess = true
 				s.Incremental = incremental
 				for i, q := range queries {
 					res, _, err := s.CheckSat(q.form)

@@ -122,7 +122,6 @@ func TestResetIncrementalScopesInstance(t *testing.T) {
 	rec, finish := newTestRecorder(t, "reset")
 	s := NewSolver(ctx)
 	s.Incremental = true
-	s.Inprocess = true
 	s.Recorder = rec
 	check := func(s *Solver, f *Term, want Result) {
 		t.Helper()
@@ -171,7 +170,6 @@ func TestResetIncrementalScopesInstance(t *testing.T) {
 	// models, builds exactly the second instance.
 	fresh := NewSolver(ctx)
 	fresh.Incremental = true
-	fresh.Inprocess = true
 	fresh.models = kept
 	for _, q := range group2 {
 		check(fresh, q.f, q.want)

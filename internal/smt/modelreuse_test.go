@@ -70,7 +70,6 @@ func TestModelReuseMatchesFresh(t *testing.T) {
 			rec, finish := newTestRecorder(t, fmt.Sprintf("reuse-%d", seed))
 			s := NewSolver(ctx)
 			s.Incremental = true
-			s.Inprocess = true
 			s.Recorder = rec
 			for i, f := range pathChain(ctx, rand.New(rand.NewSource(seed)), 16) {
 				before := s.Stats

@@ -43,11 +43,9 @@ func TestPortfolioMatchesPlain(t *testing.T) {
 		pf := &Portfolio{After: 1, CubeAfter: 1} // escalate everything non-trivial
 		laddered := NewSolver(ctx)
 		laddered.Portfolio = pf
-		laddered.Inprocess = true
 		inc := NewSolver(ctx)
 		inc.Incremental = true
 		inc.Portfolio = pf
-		inc.Inprocess = true
 
 		queries := []*Term{
 			// Guaranteed-conflict queries on both sides of the boundary.
@@ -127,7 +125,6 @@ func TestPortfolioCertsVerify(t *testing.T) {
 			s.Recorder = rec
 			s.Portfolio = &Portfolio{After: 1, CubeAfter: 1}
 			s.Metrics = telemetry.NewMetrics()
-			s.Inprocess = true
 			s.Incremental = incremental
 			s.ConflictBudget = 600
 

@@ -70,16 +70,6 @@ type Solver struct {
 	// layer. A Sat hit returns a nil model (the cache stores verdicts
 	// only); callers that need counterexample models must run uncached.
 	Cache *Cache
-	// DisableClauseDB turns off the LBD-based learned-clause database
-	// reduction in the underlying SAT instances, reverting to the legacy
-	// activity-threshold policy (ablation; see sat.Solver.LBD).
-	DisableClauseDB bool
-	// Inprocess enables SatELite-style inprocessing in the SAT instances
-	// (subsumption, self-subsumption, vivification, and — for one-shot
-	// instances — bounded variable elimination). Certification is
-	// preserved: every rewrite is logged into the DRAT trace, and the one
-	// non-RUP rewrite is auto-disabled while a Recorder is attached.
-	Inprocess bool
 	// Portfolio, when non-nil, runs queries that outlive the probe budget
 	// up the probe → cube escalation ladder with its budgets (the zero
 	// value takes the defaults). See portfolio.go.
@@ -309,13 +299,8 @@ func (s *Solver) checkSatSolve(f *Term, keyHex string) (Result, *Assign, error) 
 	}
 
 	solver := sat.New()
-	solver.LBD = !s.DisableClauseDB
 	solver.ConflictBudget = s.ConflictBudget
 	solver.Deadline = s.Deadline
-	// One-shot instance: no assumptions and no later clauses, so full
-	// inprocessing including variable elimination is safe.
-	solver.Inprocess = s.Inprocess
-	solver.InprocessElim = s.Inprocess
 	// The proof log must be attached before the blaster exists: its
 	// constructor already asserts the constant-true unit clause.
 	var sess *proof.Session
@@ -340,7 +325,6 @@ func (s *Solver) checkSatSolve(f *Term, keyHex string) (Result, *Assign, error) 
 	s.Stats.SubsumedClauses += solver.Subsumed
 	s.Stats.StrengthenedClauses += solver.Strengthened
 	s.Stats.VivifiedClauses += solver.Vivified
-	s.Stats.EliminatedVars += solver.Eliminated
 	switch st {
 	case sat.Unsat:
 		if sess != nil {
@@ -374,12 +358,6 @@ func (s *Solver) checkSatIncremental(f *Term, keyHex string) (Result, *Assign, e
 	if s.incSAT == nil {
 		s.Stats.Instances++
 		s.incSAT = sat.New()
-		s.incSAT.LBD = !s.DisableClauseDB
-		// The persistent instance sees new clauses and assumption
-		// variables on every query, so it gets the implication-only
-		// inprocessing rewrites; variable elimination stays off
-		// (InprocessElim false).
-		s.incSAT.Inprocess = s.Inprocess
 		if s.Recorder != nil {
 			// One session for the instance's lifetime: the trace grows
 			// monotonically and each Unsat certificate points at its own
@@ -401,8 +379,7 @@ func (s *Solver) checkSatIncremental(f *Term, keyHex string) (Result, *Assign, e
 	confBefore := s.incSAT.Conflicts
 	decBefore := s.incSAT.Decisions
 	clausesBefore := int64(s.incSAT.NumClauses())
-	subBefore, strBefore := s.incSAT.Subsumed, s.incSAT.Strengthened
-	vivBefore, elimBefore := s.incSAT.Vivified, s.incSAT.Eliminated
+	subBefore, strBefore, vivBefore := s.incSAT.Subsumed, s.incSAT.Strengthened, s.incSAT.Vivified
 	defer func() {
 		s.Stats.SATConflicts += s.incSAT.Conflicts - confBefore
 		s.Stats.SATDecisions += s.incSAT.Decisions - decBefore
@@ -410,7 +387,6 @@ func (s *Solver) checkSatIncremental(f *Term, keyHex string) (Result, *Assign, e
 		s.Stats.SubsumedClauses += s.incSAT.Subsumed - subBefore
 		s.Stats.StrengthenedClauses += s.incSAT.Strengthened - strBefore
 		s.Stats.VivifiedClauses += s.incSAT.Vivified - vivBefore
-		s.Stats.EliminatedVars += s.incSAT.Eliminated - elimBefore
 	}()
 	g, cons, err := s.incReducer.reduce(f)
 	if err != nil {

@@ -30,7 +30,12 @@ type Stats struct {
 	SubsumedClauses     int64 // clauses deleted as subsumed or root-satisfied
 	StrengthenedClauses int64 // clauses shortened by self-subsuming resolution
 	VivifiedClauses     int64 // clauses shortened by vivification probes
-	EliminatedVars      int64 // variables removed by bounded elimination
+
+	// EliminatedVars is always zero: the SAT layer no longer eliminates
+	// variables. Like the race and steal fields below it remains only
+	// because the frozen benchmark module (perfbench) still reads it, stays
+	// out of statFields, and is deleted once the benchmark stops reading it.
+	EliminatedVars int64
 
 	// Races, RaceRacerWins and RaceWastedConflicts are always zero: the
 	// portfolio race rung they counted was retired, because the benchmark
@@ -55,10 +60,10 @@ type Stats struct {
 	CubeSteals int64
 }
 
-// statFields pairs every Stats field but the retired race and steal
-// fields with the telemetry counter that carries it. It is the only list
-// of the fields: Add, Record, and StatsOf all iterate it, so a field
-// added here travels, merges, and renders everywhere at once.
+// statFields pairs every Stats field but the retired elimination, race
+// and steal fields with the telemetry counter that carries it. It is the
+// only list of the fields: Add, Record, and StatsOf all iterate it, so a
+// field added here travels, merges, and renders everywhere at once.
 // SolveDuration travels in nanoseconds.
 var statFields = [...]struct {
 	name  string
@@ -80,7 +85,6 @@ var statFields = [...]struct {
 	{"inprocess.subsumed", func(s *Stats) *int64 { return &s.SubsumedClauses }},
 	{"inprocess.strengthened", func(s *Stats) *int64 { return &s.StrengthenedClauses }},
 	{"inprocess.vivified", func(s *Stats) *int64 { return &s.VivifiedClauses }},
-	{"inprocess.eliminated", func(s *Stats) *int64 { return &s.EliminatedVars }},
 	{"cube.escalation", func(s *Stats) *int64 { return &s.CubeEscalations }},
 	{"cube.generated", func(s *Stats) *int64 { return &s.CubesGenerated }},
 	{"cube.refuted", func(s *Stats) *int64 { return &s.CubesRefuted }},

@@ -7,9 +7,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// retiredStats are the always-zero race and steal fields kept only for
-// the benchmark module; they are deliberately absent from statFields.
-var retiredStats = map[string]bool{"Races": true, "RaceRacerWins": true, "RaceWastedConflicts": true, "CubeSteals": true}
+// retiredStats are the always-zero elimination, race and steal fields
+// kept only for the benchmark module; they are deliberately absent from
+// statFields.
+var retiredStats = map[string]bool{"EliminatedVars": true, "Races": true, "RaceRacerWins": true, "RaceWastedConflicts": true, "CubeSteals": true}
 
 // TestStatFieldsCoverStats guards the one list of Stats fields: every
 // numeric field but the retired ones appears in statFields exactly once,
