@@ -9,11 +9,8 @@
 package repro
 
 import (
-	"encoding/json"
 	"fmt"
-	"net/http/httptest"
 	"os"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -25,13 +22,11 @@ import (
 	"repro/internal/isel"
 	"repro/internal/llvmir"
 	"repro/internal/paperprogs"
-	"repro/internal/proof"
 	"repro/internal/regalloc"
 	"repro/internal/smt"
 	"repro/internal/stack"
 	"repro/internal/telemetry"
 	"repro/internal/tv"
-	"repro/internal/tvd"
 	"repro/internal/vcgen"
 	"repro/internal/vx86"
 )
@@ -104,7 +99,7 @@ var (
 // fig6BaselineCounts runs the bench corpus serially once and returns the
 // Figure 6 class counts every parallel run must reproduce exactly. The
 // comparison form is fmt.Sprint of Summary.ClassCounts() — string-keyed,
-// so the rendering is ordered lexically and matches the JSON artifacts.
+// so the rendering is ordered lexically.
 func fig6BaselineCounts() string {
 	fig6BaseOnce.Do(func() {
 		sum := harness.Run(harness.Config{
@@ -459,162 +454,6 @@ func BenchmarkFigure6(b *testing.B) {
 	}
 }
 
-// TestBenchPR2JSON writes the machine-readable benchmark artifact
-// BENCH_PR2.json (the `make bench` target). Gated behind WRITE_BENCH_JSON
-// so plain `go test ./...` stays fast and side-effect free.
-func TestBenchPR2JSON(t *testing.T) {
-	if os.Getenv("WRITE_BENCH_JSON") == "" {
-		t.Skip("set WRITE_BENCH_JSON=1 to write BENCH_PR2.json")
-	}
-	const workers = 4
-	type configResult struct {
-		WallSeconds float64 `json:"wall_seconds"`
-		CPUSeconds  float64 `json:"cpu_seconds"`
-		CacheHits   int64   `json:"cache_hits"`
-		CacheMisses int64   `json:"cache_misses"`
-		// Counts is a real JSON object ({"Succeeded": 119, ...}), not a
-		// stringified Go map.
-		Counts map[string]int `json:"class_counts"`
-	}
-	measure := func(cache bool) configResult {
-		start := time.Now()
-		sum := harness.Run(figure6Config(workers, cache))
-		return configResult{
-			WallSeconds: time.Since(start).Seconds(),
-			CPUSeconds:  sum.CPUTime.Seconds(),
-			CacheHits:   sum.SMTStats.CacheHits,
-			CacheMisses: sum.SMTStats.CacheMisses,
-			Counts:      sum.ClassCounts(),
-		}
-	}
-	// Warm the process (page cache, JIT-free but first-run allocator noise)
-	// with the baseline, which also pins the expected class counts.
-	base := fig6BaselineCounts()
-	off := measure(false)
-	on := measure(true)
-	if fmt.Sprint(off.Counts) != base || fmt.Sprint(on.Counts) != base {
-		t.Fatalf("class counts diverged: baseline %s, cache-off %v, cache-on %v",
-			base, off.Counts, on.Counts)
-	}
-	artifact := struct {
-		Benchmark string       `json:"benchmark"`
-		Corpus    int          `json:"corpus_functions"`
-		Workers   int          `json:"workers"`
-		CacheOff  configResult `json:"cache_off"`
-		CacheOn   configResult `json:"cache_on"`
-		Speedup   float64      `json:"wall_speedup_cache_on"`
-	}{
-		Benchmark: "Figure6",
-		Corpus:    figure6Corpus,
-		Workers:   workers,
-		CacheOff:  off,
-		CacheOn:   on,
-		Speedup:   off.WallSeconds / on.WallSeconds,
-	}
-	data, err := json.MarshalIndent(artifact, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_PR2.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("BENCH_PR2.json: cache off %.2fs, on %.2fs (%.2fx), %d hits / %d misses",
-		off.WallSeconds, on.WallSeconds, artifact.Speedup, on.CacheHits, on.CacheMisses)
-}
-
-// TestBenchPR3JSON writes the proof-certificate overhead artifact
-// BENCH_PR3.json (the `make bench` target): the Figure 6 corpus run with
-// certificate emission off and on, at the same worker count and with the
-// VC cache enabled in both. Class counts must be byte-identical — proof
-// logging may never change verdicts — and the emitted directory must pass
-// the independent proofcheck verifier with zero rejections. The wall-clock
-// ratio is recorded against the <=1.3x overhead target. Gated behind
-// WRITE_BENCH_JSON like TestBenchPR2JSON.
-func TestBenchPR3JSON(t *testing.T) {
-	if os.Getenv("WRITE_BENCH_JSON") == "" {
-		t.Skip("set WRITE_BENCH_JSON=1 to write BENCH_PR3.json")
-	}
-	const workers = 4
-	type configResult struct {
-		WallSeconds  float64        `json:"wall_seconds"`
-		CPUSeconds   float64        `json:"cpu_seconds"`
-		Certificates int64          `json:"certificates"`
-		ProofBytes   int64          `json:"proof_bytes"`
-		Certified    int            `json:"functions_certified"`
-		Counts       map[string]int `json:"class_counts"`
-	}
-	measure := func(proofDir string) configResult {
-		cfg := figure6Config(workers, true)
-		cfg.ProofDir = proofDir
-		start := time.Now()
-		sum := harness.Run(cfg)
-		if sum.ProofErr != nil {
-			t.Fatal(sum.ProofErr)
-		}
-		return configResult{
-			WallSeconds:  time.Since(start).Seconds(),
-			CPUSeconds:   sum.CPUTime.Seconds(),
-			Certificates: sum.SMTStats.Certificates,
-			ProofBytes:   sum.SMTStats.ProofBytes,
-			Certified:    sum.Certified,
-			Counts:       sum.ClassCounts(),
-		}
-	}
-	base := fig6BaselineCounts()
-	off := measure("")
-	proofDir := t.TempDir()
-	on := measure(proofDir)
-	if fmt.Sprint(off.Counts) != base || fmt.Sprint(on.Counts) != base {
-		t.Fatalf("class counts diverged: baseline %s, proofs-off %v, proofs-on %v",
-			base, off.Counts, on.Counts)
-	}
-	report, err := proof.CheckDir(proofDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Rejections) != 0 {
-		t.Fatalf("proofcheck rejected %d certificates, first: %s",
-			len(report.Rejections), report.Rejections[0])
-	}
-	ratio := on.WallSeconds / off.WallSeconds
-	artifact := struct {
-		Benchmark     string       `json:"benchmark"`
-		Corpus        int          `json:"corpus_functions"`
-		Workers       int          `json:"workers"`
-		ProofsOff     configResult `json:"proofs_off"`
-		ProofsOn      configResult `json:"proofs_on"`
-		WallRatio     float64      `json:"wall_ratio_proofs_on"`
-		RatioTarget   float64      `json:"wall_ratio_target"`
-		CheckQueries  int          `json:"proofcheck_queries"`
-		CheckSteps    int          `json:"proofcheck_trace_steps"`
-		CheckWitness  int          `json:"proofcheck_witnesses"`
-		CheckRejected int          `json:"proofcheck_rejections"`
-	}{
-		Benchmark:    "Figure6-proofs",
-		Corpus:       figure6Corpus,
-		Workers:      workers,
-		ProofsOff:    off,
-		ProofsOn:     on,
-		WallRatio:    ratio,
-		RatioTarget:  1.3,
-		CheckQueries: report.Queries,
-		CheckSteps:   report.Steps,
-		CheckWitness: report.Witnesses,
-	}
-	data, err := json.MarshalIndent(artifact, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_PR3.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("BENCH_PR3.json: proofs off %.2fs, on %.2fs (%.2fx, target <=1.30x), %d certs, %d trace bytes, %d/%d certified",
-		off.WallSeconds, on.WallSeconds, ratio, on.Certificates, on.ProofBytes, on.Certified, figure6Corpus)
-	if ratio > 1.3 {
-		t.Errorf("proof logging overhead %.2fx exceeds 1.3x wall-clock target", ratio)
-	}
-}
-
 // BenchmarkAblationNoVCCache is the EXPERIMENTS.md ablation row for the
 // run-wide VC result cache.
 func BenchmarkAblationNoVCCache(b *testing.B) {
@@ -628,396 +467,4 @@ func BenchmarkAblationNoVCCache(b *testing.B) {
 			b.Fatalf("counts diverged: got %s want %s", got, base)
 		}
 	}
-}
-
-// TestBenchPR5JSON writes the telemetry overhead artifact BENCH_PR5.json
-// (the `make bench` target): the Figure 6 corpus run untraced and traced,
-// same workers and cache in both. Class counts must be byte-identical —
-// tracing may never change verdicts — the trace must lint clean, and the
-// wall-clock ratio is recorded against a <=1.10x overhead target. Gated
-// behind WRITE_BENCH_JSON like the other artifact writers.
-func TestBenchPR5JSON(t *testing.T) {
-	if os.Getenv("WRITE_BENCH_JSON") == "" {
-		t.Skip("set WRITE_BENCH_JSON=1 to write BENCH_PR5.json")
-	}
-	const workers = 4
-	type configResult struct {
-		WallSeconds float64        `json:"wall_seconds"`
-		CPUSeconds  float64        `json:"cpu_seconds"`
-		Spans       int            `json:"spans"`
-		Counts      map[string]int `json:"class_counts"`
-	}
-	measure := func(tracer *telemetry.Tracer) configResult {
-		cfg := figure6Config(workers, true)
-		cfg.Tracer = tracer
-		start := time.Now()
-		sum := harness.Run(cfg)
-		return configResult{
-			WallSeconds: time.Since(start).Seconds(),
-			CPUSeconds:  sum.CPUTime.Seconds(),
-			Spans:       tracer.Len(),
-			Counts:      sum.ClassCounts(),
-		}
-	}
-	base := fig6BaselineCounts()
-	off := measure(nil)
-	tracer := telemetry.NewTracer()
-	on := measure(tracer)
-	if fmt.Sprint(off.Counts) != base || fmt.Sprint(on.Counts) != base {
-		t.Fatalf("class counts diverged: baseline %s, untraced %v, traced %v",
-			base, off.Counts, on.Counts)
-	}
-	if err := telemetry.Lint(tracer.Records()); err != nil {
-		t.Fatalf("trace lint: %v", err)
-	}
-	smtQueries := int64(0)
-	for _, r := range tracer.Records() {
-		if r.Name == "smt.query" {
-			smtQueries++
-		}
-	}
-	ratio := on.WallSeconds / off.WallSeconds
-	artifact := struct {
-		Benchmark     string       `json:"benchmark"`
-		Corpus        int          `json:"corpus_functions"`
-		Workers       int          `json:"workers"`
-		Untraced      configResult `json:"untraced"`
-		Traced        configResult `json:"traced"`
-		WallRatio     float64      `json:"wall_ratio_traced"`
-		RatioTarget   float64      `json:"wall_ratio_target"`
-		SMTQuerySpans int64        `json:"smt_query_spans"`
-	}{
-		Benchmark:     "Figure6-telemetry",
-		Corpus:        figure6Corpus,
-		Workers:       workers,
-		Untraced:      off,
-		Traced:        on,
-		WallRatio:     ratio,
-		RatioTarget:   1.10,
-		SMTQuerySpans: smtQueries,
-	}
-	data, err := json.MarshalIndent(artifact, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_PR5.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("BENCH_PR5.json: untraced %.2fs, traced %.2fs (%.2fx, target <=1.10x), %d spans (%d smt.query)",
-		off.WallSeconds, on.WallSeconds, ratio, on.Spans, smtQueries)
-	if ratio > 1.10 {
-		t.Errorf("tracing overhead %.2fx exceeds 1.10x wall-clock target", ratio)
-	}
-}
-
-// TestBenchPR8JSON writes the validation-as-a-service artifact
-// BENCH_PR8.json (the `make bench` target): the Figure 6 corpus
-// validated through a tvd daemon twice against the same persistent
-// result store — a cold run that fills the store and a warm run served
-// from it. The warm run must hit the store for >=95% of the corpus with
-// class counts byte-identical to the cold run AND to a local in-process
-// run of the same corpus (the daemon changes where validation happens,
-// never what it concludes), and the store-served certificate artifacts
-// must pass the independent verifier with zero rejections. The recorded
-// headline is the cold/warm wall-clock ratio. Gated behind
-// WRITE_BENCH_JSON like the other artifact writers.
-func TestBenchPR8JSON(t *testing.T) {
-	if os.Getenv("WRITE_BENCH_JSON") == "" {
-		t.Skip("set WRITE_BENCH_JSON=1 to write BENCH_PR8.json")
-	}
-	const workers = 4
-	fns := corpus.Generate(corpus.GCCLike(figure6Corpus))
-
-	srv, err := tvd.NewServer(tvd.ServerConfig{
-		Workers:  workers,
-		StoreDir: t.TempDir(),
-		WorkDir:  t.TempDir(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-	client := tvd.NewClient(hs.URL)
-
-	req := &tvd.BatchRequest{MaxTermNodes: fig6ParallelBudget.MaxTermNodes}
-	for _, f := range fns {
-		req.Jobs = append(req.Jobs, tvd.JobRequest{Fn: f.Name, IR: f.Src})
-	}
-	type configResult struct {
-		WallSeconds float64        `json:"wall_seconds"`
-		CPUSeconds  float64        `json:"cpu_seconds"`
-		StoreHits   int            `json:"store_hits"`
-		StoreMisses int            `json:"store_misses"`
-		Counts      map[string]int `json:"class_counts"`
-	}
-	measure := func(proofs bool) (configResult, *tvd.BatchResult) {
-		req.Proofs = proofs
-		start := time.Now()
-		res, err := client.ValidateAll(req, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return configResult{
-			WallSeconds: time.Since(start).Seconds(),
-			CPUSeconds:  res.Stats.CPUSeconds,
-			StoreHits:   res.StoreHits,
-			StoreMisses: res.StoreMisses,
-			Counts:      res.Stats.Classes,
-		}, res
-	}
-	cold, _ := measure(false)
-	warm, warmRes := measure(true)
-
-	hitRate := float64(warm.StoreHits) / float64(len(fns))
-	if hitRate < 0.95 {
-		t.Errorf("warm-start hit rate %.2f (%d/%d) below the 0.95 floor",
-			hitRate, warm.StoreHits, len(fns))
-	}
-	if fmt.Sprint(cold.Counts) != fmt.Sprint(warm.Counts) {
-		t.Errorf("class counts diverged: cold %v, warm %v", cold.Counts, warm.Counts)
-	}
-	// Local equivalence: the same corpus validated in-process (same
-	// deterministic budget, no daemon) must produce the same classes.
-	local := harness.Run(harness.Config{
-		Profile: corpus.GCCLike(figure6Corpus),
-		Budget:  fig6ParallelBudget,
-		Workers: workers,
-	})
-	if fmt.Sprint(local.ClassCounts()) != fmt.Sprint(cold.Counts) {
-		t.Errorf("daemon classes diverged from a local run: local %v, daemon %v",
-			local.ClassCounts(), cold.Counts)
-	}
-
-	// The warm batch's store-served artifacts must verify from scratch.
-	proofDir := t.TempDir()
-	if err := tvd.MaterializeProofs(proofDir, warmRes); err != nil {
-		t.Fatal(err)
-	}
-	report, err := proof.CheckDir(proofDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Rejections) != 0 {
-		t.Fatalf("store-backed proofs rejected (%d), first: %s",
-			len(report.Rejections), report.Rejections[0])
-	}
-
-	artifact := struct {
-		Benchmark     string       `json:"benchmark"`
-		Corpus        int          `json:"corpus_functions"`
-		Workers       int          `json:"workers"`
-		Cold          configResult `json:"cold"`
-		Warm          configResult `json:"warm"`
-		WallRatio     float64      `json:"wall_ratio_cold_over_warm"`
-		HitRate       float64      `json:"warm_store_hit_rate"`
-		HitRateFloor  float64      `json:"warm_store_hit_rate_floor"`
-		CheckQueries  int          `json:"proofcheck_queries"`
-		CheckWitness  int          `json:"proofcheck_witnesses"`
-		CheckRejected int          `json:"proofcheck_rejections"`
-	}{
-		Benchmark:    "Figure6-daemon-store",
-		Corpus:       figure6Corpus,
-		Workers:      workers,
-		Cold:         cold,
-		Warm:         warm,
-		WallRatio:    cold.WallSeconds / warm.WallSeconds,
-		HitRate:      hitRate,
-		HitRateFloor: 0.95,
-		CheckQueries: report.Queries,
-		CheckWitness: report.Witnesses,
-	}
-	data, err := json.MarshalIndent(artifact, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_PR8.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("BENCH_PR8.json: cold %.2fs, warm %.2fs (%.1fx), %d/%d store hits, proofcheck %d queries 0 rejections",
-		cold.WallSeconds, warm.WallSeconds, artifact.WallRatio, warm.StoreHits, len(fns), report.Queries)
-}
-
-// TestBenchPR9JSON writes the cube-and-conquer / adaptive-portfolio
-// artifact BENCH_PR9.json (the `make bench` target). Legs:
-//
-//   - untimed_full: the deterministic no-timeout Fig. 6 run with the whole
-//     solver stack on (inprocessing, portfolio, cube) — class counts must
-//     be byte-identical to the serial baseline, pinning that the
-//     escalation-ladder rewrite changes time only, never verdicts;
-//   - default_budget_adaptive vs default_budget_no_portfolio: the
-//     generous 20s default budget, where PR 6's always-race portfolio
-//     cost wall time (72.0s vs 68.3s no-portfolio). The adaptive gate
-//     keeps probing solo while more than half the budget remains, so the
-//     adaptive wall must come back down to the no-portfolio leg's,
-//     with a timeout-count backstop against gross regressions;
-//   - tight_budget_cube_off vs tight_budget_cube_on: the 2s budget that
-//     manufactures the Timeout tail. The cube leg must escalate, must
-//     decide queries by cubing (cube_unsat_wins + cubes_sat > 0), and
-//     must not grow the tail. Function-level counts are gated for
-//     non-regression rather than strict decrease: the 2s tail on this
-//     corpus is mostly throughput-bound (hundreds of ~3ms queries per
-//     function), so several functions straddle the cutoff and flip
-//     between identical runs; each leg is therefore the median of three
-//     interleaved runs. Cubing converts the monster-query functions and
-//     20-35 individual queries per run, which is the stable signal;
-//   - tight_budget_cube_proofs: the cube-on tight leg re-run with
-//     certificate emission — every cube-escalated certificate must verify
-//     with zero proofcheck rejections.
-//
-// Gated behind WRITE_BENCH_JSON like the other artifact writers.
-func TestBenchPR9JSON(t *testing.T) {
-	if os.Getenv("WRITE_BENCH_JSON") == "" {
-		t.Skip("set WRITE_BENCH_JSON=1 to write BENCH_PR9.json")
-	}
-	const workers = 4
-	type configResult struct {
-		WallSeconds     float64        `json:"wall_seconds"`
-		CPUSeconds      float64        `json:"cpu_seconds"`
-		Counts          map[string]int `json:"class_counts"`
-		CubeEscalations int64          `json:"cube_escalations,omitempty"`
-		CubesGenerated  int64          `json:"cubes_generated,omitempty"`
-		CubesRefuted    int64          `json:"cubes_refuted,omitempty"`
-		CubesSat        int64          `json:"cubes_sat,omitempty"`
-		CubeUnsatWins   int64          `json:"cube_unsat_wins,omitempty"`
-		CubeSteals      int64          `json:"cube_steals,omitempty"`
-		TailSMTCount    int64          `json:"tail_smt_count"`
-		TailRuns        []int64        `json:"tail_smt_count_runs,omitempty"`
-		TailSMTSecs     float64        `json:"tail_smt_seconds"`
-		Rejections      int            `json:"proofcheck_rejections,omitempty"`
-		Certificates    int64          `json:"certificates,omitempty"`
-	}
-	measure := func(budget tv.Budget, noPortfolio, noCube bool, proofDir string) configResult {
-		cfg := figure6Config(workers, true)
-		cfg.Budget = budget
-		cfg.Checker = core.Options{DisableCube: noCube}
-		cfg.DisablePortfolio = noPortfolio
-		cfg.ProofDir = proofDir
-		start := time.Now()
-		sum := harness.Run(cfg)
-		if sum.ProofErr != nil {
-			t.Fatalf("proof emission failed: %v", sum.ProofErr)
-		}
-		tail := sum.Metrics.Hist("tail.smt")
-		return configResult{
-			WallSeconds:     time.Since(start).Seconds(),
-			CPUSeconds:      sum.CPUTime.Seconds(),
-			Counts:          sum.ClassCounts(),
-			CubeEscalations: sum.SMTStats.CubeEscalations,
-			CubesGenerated:  sum.SMTStats.CubesGenerated,
-			CubesRefuted:    sum.SMTStats.CubesRefuted,
-			CubesSat:        sum.SMTStats.CubesSat,
-			CubeUnsatWins:   sum.Metrics.Counter("cube.unsat"),
-			CubeSteals:      sum.SMTStats.CubeSteals,
-			TailSMTCount:    tail.Count,
-			TailSMTSecs:     time.Duration(tail.Sum).Seconds(),
-			Certificates:    sum.SMTStats.Certificates,
-		}
-	}
-
-	// Deterministic leg: verdict parity under the full stack.
-	untimed := measure(fig6ParallelBudget, false, false, "")
-	if got, base := fmt.Sprint(untimed.Counts), fig6BaselineCounts(); got != base {
-		t.Errorf("untimed full-stack class counts diverged from the serial baseline:\n got %s\nwant %s", got, base)
-	}
-
-	// Generous-budget legs: the adaptive gate must stop the portfolio
-	// from costing wall time.
-	defaultBudget := tv.Budget{Timeout: 20 * time.Second, MaxTermNodes: fig6ParallelBudget.MaxTermNodes}
-	adaptive := measure(defaultBudget, false, false, "")
-	noPf := measure(defaultBudget, true, false, "")
-	// The wall comparison is the gate that matters (PR 6's race-always
-	// stack was 3.7s slower here); the timeout-count backstop only
-	// catches gross regressions, because at 20s the 3-5 tail functions
-	// sit right at the budget boundary and flip between identical runs.
-	if adaptive.TailSMTCount > noPf.TailSMTCount+2 {
-		t.Errorf("adaptive portfolio times out far more than no-portfolio at the default budget: %d vs %d",
-			adaptive.TailSMTCount, noPf.TailSMTCount)
-	}
-	if adaptive.WallSeconds > noPf.WallSeconds*1.05 {
-		t.Errorf("adaptive portfolio still costs wall time at the default budget: %.2fs vs %.2fs no-portfolio",
-			adaptive.WallSeconds, noPf.WallSeconds)
-	}
-
-	// Tight-budget legs: cubing must engage, must decide queries, and
-	// must not grow the timeout tail (see the leg comment above for why
-	// strict function-level decrease is not a stable gate here). The
-	// single-run counts flip ±2 between identical invocations, so each
-	// leg is the tail-count median of three runs, interleaved so machine
-	// drift across the bench lands on both legs alike.
-	tight := tv.Budget{Timeout: 2 * time.Second, MaxTermNodes: fig6ParallelBudget.MaxTermNodes}
-	var offRuns, onRuns []configResult
-	for i := 0; i < 3; i++ {
-		offRuns = append(offRuns, measure(tight, false, true, ""))
-		onRuns = append(onRuns, measure(tight, false, false, ""))
-	}
-	tailMedian := func(rs []configResult) configResult {
-		sorted := append([]configResult(nil), rs...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].TailSMTCount < sorted[j].TailSMTCount })
-		med := sorted[1]
-		for _, r := range rs {
-			med.TailRuns = append(med.TailRuns, r.TailSMTCount)
-		}
-		return med
-	}
-	tightOff := tailMedian(offRuns)
-	tightOn := tailMedian(onRuns)
-	if tightOn.CubeEscalations == 0 {
-		t.Errorf("tight-budget cube leg never escalated: the comparison is vacuous")
-	}
-	if tightOn.CubeUnsatWins+tightOn.CubesSat == 0 {
-		t.Errorf("tight-budget cube leg decided no queries by cubing (escalated %d times)",
-			tightOn.CubeEscalations)
-	}
-	if tightOn.TailSMTCount > tightOff.TailSMTCount+1 {
-		t.Errorf("cube grew the timeout tail: on %d, off %d",
-			tightOn.TailSMTCount, tightOff.TailSMTCount)
-	}
-
-	// Certification leg: cube-escalated certificates verify from scratch.
-	proofDir := t.TempDir()
-	tightProofs := measure(tight, false, false, proofDir)
-	report, err := proof.CheckDir(proofDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tightProofs.Rejections = len(report.Rejections)
-	for _, r := range report.Rejections {
-		t.Errorf("proofcheck rejection: %s", r)
-	}
-
-	artifact := struct {
-		Benchmark   string       `json:"benchmark"`
-		Corpus      int          `json:"corpus_functions"`
-		Workers     int          `json:"workers"`
-		Untimed     configResult `json:"untimed_full"`
-		Adaptive    configResult `json:"default_budget_adaptive"`
-		NoPortfolio configResult `json:"default_budget_no_portfolio"`
-		TightOff    configResult `json:"tight_budget_cube_off"`
-		TightOn     configResult `json:"tight_budget_cube_on"`
-		TightProofs configResult `json:"tight_budget_cube_proofs"`
-	}{
-		Benchmark:   "Figure6-cube-adaptive-portfolio",
-		Corpus:      figure6Corpus,
-		Workers:     workers,
-		Untimed:     untimed,
-		Adaptive:    adaptive,
-		NoPortfolio: noPf,
-		TightOff:    tightOff,
-		TightOn:     tightOn,
-		TightProofs: tightProofs,
-	}
-	data, err := json.MarshalIndent(artifact, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_PR9.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("BENCH_PR9.json: adaptive %.2fs vs no-portfolio %.2fs; tight tail cube-off %d/%.2fs cube-on %d/%.2fs (%d escalations, %d cubes, %d unsat wins); proofs leg %d certs %d rejections",
-		adaptive.WallSeconds, noPf.WallSeconds,
-		tightOff.TailSMTCount, tightOff.TailSMTSecs, tightOn.TailSMTCount, tightOn.TailSMTSecs,
-		tightOn.CubeEscalations, tightOn.CubesGenerated, tightOn.CubeUnsatWins,
-		tightProofs.Certificates, tightProofs.Rejections)
 }

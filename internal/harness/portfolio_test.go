@@ -97,7 +97,8 @@ func TestColdLadderMatchesAblation(t *testing.T) {
 // escalation must produce a certificate directory the independent checker
 // accepts wholesale, with rows identical to the ladder-off ablation. The
 // second leg has more workers than functions, so workers sit idle while
-// cubes are conquered: every conquest must still run in place.
+// cubes are conquered: every conquest must still run in place. The third
+// leg runs cold SMT, so every query is certified in its own session.
 func TestPortfolioProofsVerify(t *testing.T) {
 	small := parallelProfile
 	small.Functions = 3
@@ -105,16 +106,21 @@ func TestPortfolioProofsVerify(t *testing.T) {
 		name    string
 		profile corpus.Profile
 		workers int
+		cold    bool
 	}{
-		{"busy", parallelProfile, 4},
-		{"idle", small, 4},
+		{"busy", parallelProfile, 4, false},
+		{"idle", small, 4, false},
+		{"cold", small, 2, true},
 	} {
 		t.Run(leg.name, func(t *testing.T) {
 			budget := tv.Budget{MaxTermNodes: 4_000_000}
 			dir := t.TempDir()
 			sum := Run(Config{
 				Profile: leg.profile, Budget: budget, Workers: leg.workers,
-				Checker:  core.Options{Portfolio: &smt.Portfolio{After: 1, CubeAfter: 1}},
+				Checker: core.Options{
+					Portfolio:             &smt.Portfolio{After: 1, CubeAfter: 1},
+					DisableIncrementalSMT: leg.cold,
+				},
 				ProofDir: dir,
 			})
 			if sum.ProofErr != nil {
@@ -138,6 +144,7 @@ func TestPortfolioProofsVerify(t *testing.T) {
 			}
 			ablation := Run(Config{
 				Profile: leg.profile, Budget: budget, Workers: leg.workers,
+				Checker:          core.Options{DisableIncrementalSMT: leg.cold},
 				DisablePortfolio: true,
 			})
 			if len(ablation.Rows) != len(sum.Rows) {

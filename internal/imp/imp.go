@@ -285,13 +285,22 @@ func parseExprAt(s string) (*Expr, string, error) {
 	return Var(tok), s[i:], nil
 }
 
-// Eval runs the program concretely on the given inputs.
+// MaxLoopTests bounds a concrete run by its loop-condition tests, summed
+// over every loop. Each test is one entry into a "loop:<id>" block of the
+// flattened CFG, so the stack machine's Eval counts loop-head entries
+// against the same bound and the two interpreters give up on exactly the
+// same inputs.
+const MaxLoopTests = 1 << 20
+
+// Eval runs the program concretely on the given inputs. It fails once the
+// run needs more than MaxLoopTests loop-condition tests.
 func Eval(p *Program, inputs map[string]uint32) (uint32, error) {
 	env := make(map[string]uint32, len(inputs))
 	for k, v := range inputs {
 		env[k] = v
 	}
-	ret, done, err := evalBlock(p.Body, env, 0)
+	tests := 0
+	ret, done, err := evalBlock(p.Body, env, &tests)
 	if err != nil {
 		return 0, err
 	}
@@ -301,10 +310,7 @@ func Eval(p *Program, inputs map[string]uint32) (uint32, error) {
 	return ret, nil
 }
 
-func evalBlock(ss []*Stmt, env map[string]uint32, depth int) (uint32, bool, error) {
-	if depth > 1<<20 {
-		return 0, false, fmt.Errorf("imp: step budget exhausted")
-	}
+func evalBlock(ss []*Stmt, env map[string]uint32, tests *int) (uint32, bool, error) {
 	for _, s := range ss {
 		switch s.Kind {
 		case SAssign:
@@ -318,16 +324,19 @@ func evalBlock(ss []*Stmt, env map[string]uint32, depth int) (uint32, bool, erro
 			} else {
 				branch = s.Else
 			}
-			ret, done, err := evalBlock(branch, env, depth+1)
+			ret, done, err := evalBlock(branch, env, tests)
 			if err != nil || done {
 				return ret, done, err
 			}
 		case SWhile:
-			for i := 0; evalExpr(s.E, env) != 0; i++ {
-				if i > 1<<20 {
+			for {
+				if *tests++; *tests > MaxLoopTests {
 					return 0, false, fmt.Errorf("imp: loop budget exhausted")
 				}
-				ret, done, err := evalBlock(s.Body, env, depth+1)
+				if evalExpr(s.E, env) == 0 {
+					break
+				}
+				ret, done, err := evalBlock(s.Body, env, tests)
 				if err != nil || done {
 					return ret, done, err
 				}

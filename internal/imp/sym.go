@@ -2,6 +2,7 @@ package imp
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/smt"
@@ -291,6 +292,10 @@ func (s *state) symExpr(e *Expr) *smt.Term {
 	}
 	panic("imp: bad operator " + e.Op)
 }
+
+// IsLoopHead reports whether label names a loop-header block of the
+// flattened CFG.
+func IsLoopHead(label string) bool { return strings.HasPrefix(label, "loop:") }
 
 // LoopLocs returns the cut locations of all loops, for sync-point
 // generation.

@@ -48,8 +48,8 @@ func (s *Solver) solveCubed(primary *sat.Solver, budget int64, assumps ...sat.Li
 // probes earned, and each refuted cube strengthens every later cube, the
 // solo fallback and, in incremental sessions, every later query. When all
 // cubes are refuted the internal tree nodes collapse the same way down to
-// ¬assumps (the empty clause for a one-shot query), which is exactly the
-// final obligation the caller's recording path checks.
+// ¬assumps, which is exactly the final obligation the caller's recording
+// path checks.
 func (s *Solver) conquerInPlace(primary *sat.Solver, cs *sat.CubeSet, budget int64, assumps []sat.Lit) sat.Status {
 	userBudget := primary.ConflictBudget
 	defer func() { primary.ConflictBudget = userBudget }()

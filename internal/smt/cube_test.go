@@ -13,9 +13,9 @@ import (
 )
 
 // TestCubeMatchesPlain: with every non-trivial query escalating to
-// cube-and-conquer, verdicts must match a plain solver's exactly, on both
-// the one-shot and the incremental paths — the row-parity guarantee the
-// harness relies on.
+// cube-and-conquer, verdicts must match a plain solver's exactly, both
+// cold (a fresh instance per query) and incremental — the row-parity
+// guarantee the harness relies on.
 func TestCubeMatchesPlain(t *testing.T) {
 	var escalations int64
 	f := func(seed int64) bool {
@@ -96,11 +96,10 @@ func TestCubeDisabledMatchesPlain(t *testing.T) {
 }
 
 // TestCubeCertsVerify: every certificate a cube-escalated run emits —
-// all-cubes-unsat refutations included, on both the one-shot
-// (empty-clause obligation) and incremental (activation-literal
-// obligation) paths — must verify from scratch with CheckDir. The
-// conquest runs in the query's own session, so it must open no DRAT
-// session beyond those the same queries open with DisableCube.
+// all-cubes-unsat refutations included, both cold (a fresh instance and
+// session per query) and incremental — must verify from scratch with
+// CheckDir. The conquest runs in the query's own session, so it must open
+// no DRAT session beyond those the same queries open with DisableCube.
 func TestCubeCertsVerify(t *testing.T) {
 	for _, incremental := range []bool{false, true} {
 		t.Run(fmt.Sprintf("incremental=%v", incremental), func(t *testing.T) {

@@ -33,8 +33,8 @@ func distinctUnder(ctx *Context, tag string, n int, width uint8, bound uint64) *
 
 // TestPortfolioMatchesPlain: solvers sharing one Portfolio, as a run's
 // workers do, and escalating every query that survives a one-conflict
-// probe must return exactly the verdicts of a plain solver, on both the
-// one-shot and the incremental paths.
+// probe must return exactly the verdicts of a plain solver, both cold (a
+// fresh instance per query) and incremental.
 func TestPortfolioMatchesPlain(t *testing.T) {
 	var escalations int64
 	f := func(seed int64) bool {

@@ -61,7 +61,8 @@ type Solver struct {
 	// under an activation assumption, so queries do not pollute each other.
 	// The instance lives until ResetIncremental; the checker resets it at
 	// every sync point, whose queries share no variable with another
-	// point's.
+	// point's. When false, every query gets a fresh instance (the cold-SMT
+	// ablation).
 	Incremental bool
 	// Cache, when non-nil, is consulted before solving and updated after:
 	// queries are keyed by their alpha-invariant CanonKey, so structurally
@@ -276,75 +277,15 @@ func (s *Solver) canonKey(f *Term) CanonKey {
 }
 
 // checkSatSolve decides f by actually solving (no cache consultation).
+// Every query runs on the incremental path; a solver that is not
+// Incremental starts each query on a fresh instance, so cold queries
+// have the same session shape (query as assumption, final obligation
+// the negated root) as warm ones.
 func (s *Solver) checkSatSolve(f *Term, keyHex string) (Result, *Assign, error) {
-	if s.Incremental {
-		return s.checkSatIncremental(f, keyHex)
+	if !s.Incremental {
+		s.ResetIncremental()
 	}
-
-	red := newArrayReducer(s.ctx)
-	g, cons, err := red.reduce(f)
-	if err != nil {
-		return ResultUnknown, nil, err
-	}
-	g = s.ctx.AndB(g, cons)
-	if g.IsTrue() {
-		s.Stats.FastQueries++
-		s.recordSimplified(f, proof.ResSat, keyHex)
-		return ResultSat, NewAssign(), nil
-	}
-	if g.IsFalse() {
-		s.Stats.FastQueries++
-		s.recordSimplified(f, proof.ResUnsat, keyHex)
-		return ResultUnsat, nil, nil
-	}
-
-	solver := sat.New()
-	solver.ConflictBudget = s.ConflictBudget
-	solver.Deadline = s.Deadline
-	// The proof log must be attached before the blaster exists: its
-	// constructor already asserts the constant-true unit clause.
-	var sess *proof.Session
-	if s.Recorder != nil {
-		sess = s.Recorder.NewSession()
-		solver.Proof = &sat.ProofLog{}
-	}
-	b := newBlaster(s.ctx, solver, s.litArena())
-	if sess != nil {
-		b.varHook = s.hookVars(sess)
-	}
-	root, err := b.blastBool(g)
-	if err != nil {
-		return ResultUnknown, nil, err
-	}
-	solver.AddClause(root)
-	s.queryVars = solver.NumVars()
-	st := s.solveLadder(solver)
-	s.Stats.SATConflicts += solver.Conflicts
-	s.Stats.SATDecisions += solver.Decisions
-	s.Stats.CNFClauses += int64(solver.NumClauses())
-	s.Stats.SubsumedClauses += solver.Subsumed
-	s.Stats.StrengthenedClauses += solver.Strengthened
-	s.Stats.VivifiedClauses += solver.Vivified
-	switch st {
-	case sat.Unsat:
-		if sess != nil {
-			// No assumptions here, so Unsat is a global refutation: the
-			// obligation is the empty clause.
-			s.recordUnsat(solver.Proof, 0, sess, nil, keyHex)
-		}
-		return ResultUnsat, nil, nil
-	case sat.Unknown:
-		// Unknown conflates budget exhaustion, deadline expiry, and an
-		// undecided cube conquest; attribute the deadline truthfully so tail reports do not
-		// blame the conflict budget for wall-clock starvation.
-		if s.pastDeadline() {
-			return ResultUnknown, nil, ErrDeadline
-		}
-		return ResultUnknown, nil, ErrBudget
-	}
-	m := s.extractModel(f, red, b, solver)
-	s.recordModel(f, m, keyHex)
-	return ResultSat, m, nil
+	return s.checkSatIncremental(f, keyHex)
 }
 
 // pastDeadline reports whether a non-zero deadline has elapsed.

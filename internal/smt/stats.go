@@ -21,7 +21,7 @@ type Stats struct {
 	SATConflicts  int64
 	SATDecisions  int64
 	CNFClauses    int64
-	Instances     int64 // incremental SAT instances built
+	Instances     int64 // SAT instances built (one per query when not Incremental)
 	SolveDuration time.Duration
 	ProofBytes    int64 // certificate bytes written, the run's term table included
 	Certificates  int64 // query certificates emitted

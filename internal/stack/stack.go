@@ -160,7 +160,9 @@ func compileExpr(e *imp.Expr, opts Options) []Instr {
 	return append(append(l, r...), Instr{Op: binOpcode[e.Op]})
 }
 
-// Eval runs the program concretely.
+// Eval runs the program concretely. Like imp.Eval it fails once the run
+// enters loop-header blocks more than imp.MaxLoopTests times; every cycle
+// of the compiled CFG passes through one, so that bounds the run.
 func Eval(p *Program, inputs map[string]uint32) (uint32, error) {
 	vars := make(map[string]uint32, len(inputs))
 	for k, v := range inputs {
@@ -174,9 +176,12 @@ func Eval(p *Program, inputs map[string]uint32) (uint32, error) {
 	}
 	blk := p.Blocks[0]
 	idx := 0
-	for steps := 0; ; steps++ {
-		if steps > 1<<22 {
-			return 0, fmt.Errorf("stack: step budget exhausted")
+	tests := 0
+	for {
+		if idx == 0 && imp.IsLoopHead(blk.Label) {
+			if tests++; tests > imp.MaxLoopTests {
+				return 0, fmt.Errorf("stack: loop budget exhausted")
+			}
 		}
 		if idx >= len(blk.Instrs) {
 			return 0, fmt.Errorf("stack: fell off block %s", blk.Label)

@@ -56,6 +56,11 @@ func mustParse(t *testing.T, src string) *imp.Program {
 }
 
 func TestCompileAndEvalMatchIMP(t *testing.T) {
+	// pinned inputs run alongside the random ones. gcd(0xbb1d605c|1,
+	// 0x26b9) takes about 316k loop iterations: within both interpreters'
+	// loop budget, but once past a stack-machine instruction budget that
+	// imp.Eval did not share.
+	pinned := map[string][][2]uint32{gcdProg: {{0xbb1d605c, 0x26b9}}}
 	for _, src := range []string{gcdProg, sumProg, straightProg} {
 		p := mustParse(t, src)
 		sp := Compile(p, Options{})
@@ -74,8 +79,45 @@ func TestCompileAndEvalMatchIMP(t *testing.T) {
 			}
 			return got == want
 		}
+		for _, in := range pinned[src] {
+			if !f(in[0], in[1]) {
+				t.Errorf("%q: pinned input a=%#x b=%#x: interpreters disagree", src[:20], in[0], in[1])
+			}
+		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 			t.Errorf("%q: %v", src[:20], err)
+		}
+	}
+}
+
+// TestEvalLoopBudgetsAgree: both interpreters allow exactly
+// imp.MaxLoopTests loop-condition tests per run and fail on the next.
+func TestEvalLoopBudgetsAgree(t *testing.T) {
+	p := mustParse(t, `
+input n
+i := 0
+while (i < n) {
+  i := (i + 1)
+}
+return i
+`)
+	sp := Compile(p, Options{})
+	// A run with n iterations tests the loop condition n+1 times.
+	for _, tc := range []struct {
+		n  uint32
+		ok bool
+	}{
+		{imp.MaxLoopTests - 1, true},
+		{imp.MaxLoopTests, false},
+	} {
+		inputs := map[string]uint32{"n": tc.n}
+		want, impErr := imp.Eval(p, inputs)
+		got, stackErr := Eval(sp, inputs)
+		if (impErr == nil) != tc.ok || (stackErr == nil) != tc.ok {
+			t.Errorf("n=%d: imp err %v, stack err %v; want success %v", tc.n, impErr, stackErr, tc.ok)
+		}
+		if tc.ok && (want != tc.n || got != tc.n) {
+			t.Errorf("n=%d: imp %d, stack %d", tc.n, want, got)
 		}
 	}
 }

@@ -9,20 +9,31 @@ import (
 	"time"
 
 	"repro/internal/corpus"
+	"repro/internal/harness"
 	"repro/internal/proof"
 	"repro/internal/telemetry"
+	"repro/internal/tv"
 )
 
-// testCorpus is a small deterministic corpus shared by the e2e tests.
-func testCorpus(n int) []corpus.Function {
-	return corpus.Generate(corpus.Profile{
+// testProfile describes a small deterministic corpus shared by the e2e
+// tests.
+func testProfile(n int) corpus.Profile {
+	return corpus.Profile{
 		Seed: 7, Functions: n, MeanSize: 2.0, SizeSigma: 0.5,
 		LoopWeight: 0.3, BranchWeight: 0.5,
-	})
+	}
 }
 
+func testCorpus(n int) []corpus.Function {
+	return corpus.Generate(testProfile(n))
+}
+
+// testMaxTermNodes is the batch budget: a deterministic node limit, no
+// wall-clock timeout, so classes do not depend on machine speed.
+const testMaxTermNodes = 3_000_000
+
 func testBatch(fns []corpus.Function) *BatchRequest {
-	req := &BatchRequest{MaxTermNodes: 3_000_000, Proofs: true}
+	req := &BatchRequest{MaxTermNodes: testMaxTermNodes, Proofs: true}
 	for _, f := range fns {
 		req.Jobs = append(req.Jobs, JobRequest{Fn: f.Name, IR: f.Src})
 	}
@@ -41,7 +52,8 @@ func newTestServer(t *testing.T, cfg ServerConfig) (*Server, *httptest.Server) {
 }
 
 // TestDaemonWarmStart is the tentpole e2e: a cold batch misses the
-// store, the identical warm batch is served entirely from it with
+// store with the class counts of a local run over the same functions,
+// the identical warm batch is served entirely from it with
 // byte-identical class counts, the store-backed artifacts proofcheck
 // clean, and the store survives a daemon restart.
 func TestDaemonWarmStart(t *testing.T) {
@@ -66,6 +78,18 @@ func TestDaemonWarmStart(t *testing.T) {
 	if cold.StoreHits != 0 || cold.StoreMisses != len(fns) {
 		t.Errorf("cold run: %d hits / %d misses, want 0 / %d",
 			cold.StoreHits, cold.StoreMisses, len(fns))
+	}
+	// The daemon changes where validation happens, never what it
+	// concludes: a local run of the same functions under the same budget
+	// must classify them identically.
+	local := harness.Run(harness.Config{
+		Profile: testProfile(len(fns)),
+		Budget:  tv.Budget{MaxTermNodes: testMaxTermNodes},
+		Workers: 2,
+	})
+	localClasses, _ := json.Marshal(local.ClassCounts())
+	if daemonClasses, _ := json.Marshal(cold.Stats.Classes); !bytes.Equal(localClasses, daemonClasses) {
+		t.Errorf("daemon classes diverge from a local run: local %s daemon %s", localClasses, daemonClasses)
 	}
 	for i, row := range cold.Rows {
 		if row.Cached {
