@@ -35,11 +35,12 @@ perfbench:
 
 # microbench runs each per-layer microbenchmark (SAT search, incremental
 # SMT, one corpus function through the whole tv pipeline, RUP replay of
-# a recorded trace, a certified directory through CheckDir) once, so a
+# a recorded trace, a certified directory through CheckDir, an all-hits
+# request through an in-process tvd daemon and its store) once, so a
 # change that breaks one fails tier 1. For numbers, raise -benchtime and
 # compare allocs/op and ns/op across commits.
 microbench:
-	go test -run '^$$' -bench . -benchtime 1x ./internal/sat ./internal/smt ./internal/tv ./internal/proof
+	go test -run '^$$' -bench . -benchtime 1x ./internal/sat ./internal/smt ./internal/tv ./internal/proof ./internal/tvd
 
 # bench runs the Figure 6 corpus with the VC cache off and on, with
 # proof emission, and with tracing; every configuration must reproduce

@@ -1,18 +1,20 @@
 package tvd
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/harness"
 	"repro/internal/telemetry"
+	"repro/internal/tv"
 )
 
 // Client talks to one tvd daemon.
@@ -221,42 +223,58 @@ func (c *Client) validateOnce(body []byte, onRow func(telemetry.Record)) (*Batch
 		return nil, 0, fmt.Errorf("tvd: %s", ej.Error)
 	}
 
-	// The stream is JSONL telemetry records; the summary line can carry
-	// megabytes of base64 artifacts, so the scanner buffer is generous.
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<28)
+	res, err := readStream(resp.Body, onRow)
+	return res, 0, err
+}
+
+// readStream decodes a response stream in one pass: each record goes
+// straight into the typed wireRecord, the summary's BatchResult
+// included, with no line buffer and no second parse. Rows go to onRow
+// as they arrive; records of other names are skipped. The decoder's
+// buffer grows to the largest record, the summary, which can carry
+// megabytes of base64 artifacts. A stream that ends without a complete
+// summary carrying a result is an error, never a partial result.
+func readStream(r io.Reader, onRow func(telemetry.Record)) (*BatchResult, error) {
+	dec := json.NewDecoder(r)
 	var result *BatchResult
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
+	for {
+		var rec wireRecord[streamAttrs]
+		err := dec.Decode(&rec)
+		if err == io.EOF {
+			break
+		}
+		var typeErr *json.UnmarshalTypeError
+		if errors.As(err, &typeErr) && rec.Name != RecordRow && rec.Name != RecordSummary {
+			// A record this client does not know may reuse an attr name
+			// with another type; the decoder has consumed it whole.
 			continue
 		}
-		var rec telemetry.Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return nil, 0, fmt.Errorf("tvd: bad stream line: %v", err)
+		if err != nil {
+			return nil, fmt.Errorf("tvd: bad stream record: %v", err)
 		}
 		switch rec.Name {
 		case RecordRow:
 			if onRow != nil {
-				onRow(rec)
+				onRow(rowRecord(&rec))
 			}
 		case RecordSummary:
-			raw, _ := rec.Attrs[AttrResult].(string)
-			if raw == "" {
-				return nil, 0, fmt.Errorf("tvd: summary record without %s", AttrResult)
+			if rec.Attrs.Result == nil {
+				return nil, fmt.Errorf("tvd: summary record without %s", AttrResult)
 			}
-			var br BatchResult
-			if err := json.Unmarshal([]byte(raw), &br); err != nil {
-				return nil, 0, fmt.Errorf("tvd: bad summary payload: %v", err)
+			result = rec.Attrs.Result
+			// The result outlives the stream, so it keeps no spare row
+			// capacity (a decoded slice grows by doubling) and no
+			// per-row copy of a class name.
+			result.Rows = slices.Clone(result.Rows)
+			for i := range result.Rows {
+				if c, ok := tv.ParseClass(result.Rows[i].Class); ok {
+					result.Rows[i].Class = c.String()
+				}
 			}
-			result = &br
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, 0, fmt.Errorf("tvd: reading stream: %v", err)
-	}
 	if result == nil {
-		return nil, 0, fmt.Errorf("tvd: stream ended without a summary record")
+		return nil, fmt.Errorf("tvd: stream ended without a summary record")
 	}
-	return result, 0, nil
+	return result, nil
 }

@@ -398,36 +398,25 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	result := &BatchResult{Rows: make([]RowJSON, len(req.Jobs))}
 	var cpu time.Duration
 
-	streamRow := func(row *RowJSON) {
-		rec := telemetry.Record{
-			ID:      telemetry.SpanID(row.Index + 1),
-			Name:    RecordRow,
-			StartNS: row.StartedNS,
-			DurNS:   row.FinishedNS - row.StartedNS,
-			Attrs: map[string]any{
-				"fn":     row.Fn,
-				"index":  int64(row.Index),
-				"class":  row.Class,
-				"cached": row.Cached,
-			},
-		}
-		enc.Encode(&rec)
+	flush := func() {
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
-
-	// Serve the hits first: they are ready now, and streaming them before
-	// the misses start lands warm verdicts with zero queue latency.
+	// Serve the hits first: they are ready now, and streaming them (one
+	// flush for all of them) before the misses start lands warm
+	// verdicts with zero queue latency.
 	for i := range req.Jobs {
 		if hits[i] == nil {
 			continue
 		}
-		row := s.rowFromEntry(i, keys[i], hits[i], req.Proofs, epoch)
-		result.Rows[i] = row
+		result.Rows[i] = s.rowFromEntry(i, keys[i], hits[i], req.Proofs, epoch)
 		result.StoreHits++
 		batchM.Add("tvd.batch.store_hit", 1)
-		streamRow(&row)
+		writeRow(enc, &result.Rows[i])
+	}
+	if result.StoreHits > 0 {
+		flush()
 	}
 	result.StoreMisses = misses
 
@@ -471,8 +460,7 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	for done := 0; done < misses; done++ {
 		res := <-results
 		pj := pending[res.Index]
-		row := s.finishJob(pj, res, req.Proofs, epoch)
-		result.Rows[res.Index] = row
+		result.Rows[res.Index] = s.finishJob(pj, res, req.Proofs, epoch)
 		if d := res.Row.Started.Sub(res.Row.Submitted); d >= 0 {
 			batchM.Observe("tvd.queue", d)
 		}
@@ -480,7 +468,8 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 		cpu += res.Row.Duration
 		release(1)
 		outstanding--
-		streamRow(&row)
+		writeRow(enc, &result.Rows[res.Index])
+		flush()
 	}
 
 	// Batch summary: the same StatsJSON a local run prints.
@@ -511,19 +500,37 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Merge(batchM)
 	s.metrics.Observe("tvd.batch.wall", sum.WallTime)
 
-	payload, err := json.Marshal(result)
-	if err != nil {
-		payload = []byte(fmt.Sprintf(`{"error":%q}`, err.Error()))
+	// A summary that cannot be encoded or written (a gone client) is
+	// counted; the client sees a stream without a summary, an error.
+	if err := writeSummary(enc, len(req.Jobs), time.Since(epoch), result); err != nil {
+		s.metrics.Add("tvd.summary_fail", 1)
 	}
-	enc.Encode(&telemetry.Record{
-		ID:      telemetry.SpanID(len(req.Jobs) + 1),
-		Name:    RecordSummary,
-		StartNS: time.Since(epoch).Nanoseconds(),
-		Attrs:   map[string]any{AttrResult: string(payload)},
+	flush()
+}
+
+// writeRow encodes row's tvd.row record: span ID index+1, its run on
+// the batch timeline, and the four progress attrs. handleValidate drops
+// its error: a failed write means the client went away, and the batch
+// still runs to the end so its misses land in the store.
+func writeRow(enc *json.Encoder, row *RowJSON) error {
+	return enc.Encode(&wireRecord[rowAttrs]{
+		ID:      telemetry.SpanID(row.Index + 1),
+		Name:    RecordRow,
+		StartNS: row.StartedNS,
+		DurNS:   row.FinishedNS - row.StartedNS,
+		Attrs:   rowAttrs{Fn: row.Fn, Index: row.Index, Class: row.Class, Cached: row.Cached},
 	})
-	if flusher != nil {
-		flusher.Flush()
-	}
+}
+
+// writeSummary encodes the final tvd.summary record of a batch of n
+// jobs, at offset at from the batch epoch, carrying result.
+func writeSummary(enc *json.Encoder, n int, at time.Duration, result *BatchResult) error {
+	return enc.Encode(&wireRecord[summaryAttrs]{
+		ID:      telemetry.SpanID(n + 1),
+		Name:    RecordSummary,
+		StartNS: at.Nanoseconds(),
+		Attrs:   summaryAttrs{Result: result},
+	})
 }
 
 // rowFromEntry turns a store hit into a response row. The verdict is

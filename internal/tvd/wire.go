@@ -5,12 +5,15 @@
 //
 // The wire protocol is deliberately small. One POST /v1/validate call
 // carries a BatchRequest and streams back newline-delimited JSON in the
-// telemetry span format (telemetry.Record): one "tvd.row" record per
-// completed function, in completion order, then one final "tvd.summary"
-// record whose result_json attribute carries the BatchResult. A client
-// that only wants progress tails the rows; a client that wants the
-// verdicts parses the last line. GET /healthz and GET /metricsz serve
-// liveness and the metrics snapshot.
+// telemetry span format (every line parses as a telemetry.Record): one
+// "tvd.row" record per completed function, in completion order, then
+// one final "tvd.summary" record whose result attribute is the
+// BatchResult as a JSON object. Both kinds are written from the typed
+// wireRecord and decoded back into it, so the stream is encoded once
+// and each response is parsed in one pass. A client that only wants
+// progress tails the rows; a client that wants the verdicts reads the
+// last record. GET /healthz and GET /metricsz serve liveness and the
+// metrics snapshot.
 //
 // Admission control is upfront: a request is either rejected whole with
 // 429 (tenant token budget exhausted, or the daemon's bounded job queue
@@ -41,13 +44,63 @@ const (
 	// stream; its start/duration place the function on the batch
 	// timeline (nanosecond offsets from the batch epoch).
 	RecordRow = "tvd.row"
-	// RecordSummary names the final record; its result_json attribute
-	// holds the marshaled BatchResult.
+	// RecordSummary names the final record; its result attribute holds
+	// the BatchResult.
 	RecordSummary = "tvd.summary"
 	// AttrResult is the summary-record attribute carrying the
-	// JSON-encoded BatchResult.
-	AttrResult = "result_json"
+	// BatchResult as a JSON object (not a string holding JSON, so the
+	// summary is encoded and decoded once).
+	AttrResult = "result"
 )
+
+// wireRecord is one line of a response stream: the telemetry.Record
+// layout with typed attrs, A being rowAttrs or summaryAttrs on the
+// server and streamAttrs on the client.
+type wireRecord[A any] struct {
+	ID      telemetry.SpanID `json:"id"`
+	Name    string           `json:"name"`
+	StartNS int64            `json:"start_ns"`
+	DurNS   int64            `json:"dur_ns"`
+	Attrs   A                `json:"attrs"`
+}
+
+// rowAttrs are a tvd.row record's attrs; every row carries all four.
+type rowAttrs struct {
+	Fn     string `json:"fn"`
+	Index  int    `json:"index"`
+	Class  string `json:"class"`
+	Cached bool   `json:"cached"`
+}
+
+// summaryAttrs are the tvd.summary record's attrs.
+type summaryAttrs struct {
+	Result *BatchResult `json:"result"`
+}
+
+// streamAttrs decodes the attrs of either record kind.
+type streamAttrs struct {
+	rowAttrs
+	summaryAttrs
+}
+
+// rowRecord is a decoded row as the telemetry.Record a client's onRow
+// receives: the attrs a generic JSON decode of the line yields (index
+// a float64).
+func rowRecord(r *wireRecord[streamAttrs]) telemetry.Record {
+	a := &r.Attrs.rowAttrs
+	return telemetry.Record{
+		ID:      r.ID,
+		Name:    r.Name,
+		StartNS: r.StartNS,
+		DurNS:   r.DurNS,
+		Attrs: map[string]any{
+			"fn":     a.Fn,
+			"index":  float64(a.Index),
+			"class":  a.Class,
+			"cached": a.Cached,
+		},
+	}
+}
 
 // JobRequest is one function validation job.
 type JobRequest struct {
