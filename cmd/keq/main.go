@@ -84,13 +84,11 @@ func main() {
 		check(fmt.Errorf("unknown -mode %q", *mode))
 	}
 
-	var dw *proof.DirWriter
 	var rec *proof.Recorder
 	if *emitProof != "" {
 		var err error
-		dw, err = proof.NewDirWriter(*emitProof)
+		rec, err = proof.NewRecorder(*emitProof, fn.Name)
 		check(err)
-		rec = dw.NewRecorder(fn.Name)
 		opts.Proof = rec
 	}
 	var tracer *telemetry.Tracer
@@ -109,10 +107,7 @@ func main() {
 	if rec != nil {
 		_, err := rec.Close(out.Class == tv.ClassSucceeded)
 		check(err)
-		check(dw.Close())
 		m := &proof.Manifest{
-			Terms:     proof.TermsName,
-			TermCount: dw.Table().Len(),
 			Functions: []proof.ManifestRow{{
 				Name: fn.Name, Class: out.Class.String(),
 				Certified: out.Class == tv.ClassSucceeded,

@@ -139,7 +139,7 @@ func checkWholeStore(storeDir string, verbose bool) int {
 }
 
 // materializeStoreEntry extracts one store entry into a scratch proof
-// directory with a single-row manifest, ready for CheckDir.
+// directory (store.EntryDir), ready for CheckDir.
 func materializeStoreEntry(storeDir, keyHex string) string {
 	k, err := store.KeyFromHex(keyHex)
 	if err != nil {
@@ -156,21 +156,8 @@ func materializeStoreEntry(storeDir, keyHex string) string {
 		fmt.Fprintf(os.Stderr, "proofcheck: store has no (intact) entry %s\n", keyHex)
 		os.Exit(2)
 	}
-	dir, err := os.MkdirTemp("", "proofcheck-store-")
+	dir, err := store.EntryDir(e)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "proofcheck:", err)
-		os.Exit(2)
-	}
-	err = store.MaterializeEntry(dir, e)
-	if err == nil {
-		err = proof.WriteManifest(dir, &proof.Manifest{
-			Functions: []proof.ManifestRow{{
-				Name: e.Meta.Function, Class: e.Meta.Class, Certified: e.Meta.Certified,
-			}},
-		})
-	}
-	if err != nil {
-		os.RemoveAll(dir)
 		fmt.Fprintln(os.Stderr, "proofcheck:", err)
 		os.Exit(2)
 	}

@@ -216,10 +216,8 @@ func validateFile(path string, copts core.Options, budget tv.Budget, proofDir st
 	check(llvmir.Verify(mod))
 	m.Observe("phase.parse", time.Since(parseStart))
 
-	var dw *proof.DirWriter
 	if proofDir != "" {
-		dw, err = proof.NewDirWriter(proofDir)
-		check(err)
+		check(os.MkdirAll(proofDir, 0o755))
 	}
 
 	failed := false
@@ -229,8 +227,9 @@ func validateFile(path string, copts core.Options, budget tv.Budget, proofDir st
 			continue
 		}
 		var rec *proof.Recorder
-		if dw != nil {
-			rec = dw.NewRecorder(fn.Name)
+		if proofDir != "" {
+			rec, err = proof.NewRecorder(proofDir, fn.Name)
+			check(err)
 			copts.Proof = rec
 		}
 		out := tv.Validate(mod, fn.Name, isel.Options{}, vcgen.Options{}, copts, budget)
@@ -256,10 +255,7 @@ func validateFile(path string, copts core.Options, budget tv.Budget, proofDir st
 			}
 		}
 	}
-	if dw != nil {
-		check(dw.Close())
-		manifest.Terms = proof.TermsName
-		manifest.TermCount = dw.Table().Len()
+	if proofDir != "" {
 		check(proof.WriteManifest(proofDir, &manifest))
 	}
 	if phaseReport {

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"runtime"
 	"sort"
 	"strings"
@@ -70,9 +71,10 @@ type Config struct {
 	// dangle), a bisimulation witness for each Succeeded function, and a
 	// MANIFEST.json for the run. Verify with cmd/proofcheck.
 	//
-	// Emission streams: one run-wide shared term table, binary DRAT
-	// traces, and certificates flushed per query, so peak memory is
-	// bounded by the largest single query rather than the run.
+	// Emission streams: certificates and binary DRAT traces are written
+	// as they are recorded, and each function writes its own term
+	// segment when it finishes, so emission memory is bounded by the
+	// largest single query and function rather than the run.
 	ProofDir string
 	// Tracer, when non-nil, receives one span tree per validated function
 	// — harness.fn > harness.parse + tv.validate > per-phase and per-SMT-
@@ -159,14 +161,13 @@ func Run(cfg Config) *Summary {
 	}
 	sum := &Summary{Total: len(fns), Workers: workers, Rows: make([]ResultRow, len(fns)),
 		Metrics: telemetry.NewMetrics()}
-	var dw *proof.DirWriter
-	var dwErr error
 	if cfg.ProofDir != "" {
-		// A directory that cannot be written fails every row's proof
-		// emission (stamped below) rather than running silently
-		// uncertified.
-		dw, dwErr = proof.NewDirWriter(cfg.ProofDir)
-		sum.ProofErr = dwErr
+		// Created here as well as by each recorder: the manifest needs
+		// the directory even when no function gets a recorder. A
+		// directory that cannot be created fails every row's proof
+		// emission (each recorder reports it) rather than running
+		// silently uncertified.
+		sum.ProofErr = os.MkdirAll(cfg.ProofDir, 0o755)
 	}
 	start := time.Now()
 
@@ -187,17 +188,14 @@ func Run(cfg Config) *Summary {
 			vopts.CoarseLiveness = true
 		}
 		pool.Submit(Job{
-			Fn:      fns[i],
-			Index:   i,
-			VCGen:   vopts,
-			Checker: cfg.Checker,
-			Budget:  cfg.Budget,
-			DW:      dw,
-			Tracer:  cfg.Tracer,
+			Fn:       fns[i],
+			Index:    i,
+			VCGen:    vopts,
+			Checker:  cfg.Checker,
+			Budget:   cfg.Budget,
+			ProofDir: cfg.ProofDir,
+			Tracer:   cfg.Tracer,
 			Done: func(res JobResult) {
-				if dwErr != nil {
-					res.Row.ProofErr = dwErr
-				}
 				sum.Rows[res.Index] = res.Row // index-disjoint writes: no lock needed
 				mu.Lock()
 				sum.Metrics.Merge(res.Metrics)
@@ -214,19 +212,9 @@ func Run(cfg Config) *Summary {
 	}
 	pool.Close()
 	sum.WallTime = time.Since(start)
-	if dw != nil {
-		if err := dw.Close(); err != nil && sum.ProofErr == nil {
-			sum.ProofErr = err
-		}
-		// The shared term segment belongs to the whole run, not any row.
-		(&smt.Stats{ProofBytes: dw.TermBytes()}).Record(sum.Metrics)
-	}
 	sum.SMTStats = smt.StatsOf(sum.Metrics)
 	if cfg.ProofDir != "" {
-		m := &proof.Manifest{Terms: proof.TermsName}
-		if dw != nil {
-			m.TermCount = dw.Table().Len()
-		}
+		m := &proof.Manifest{}
 		for _, r := range sum.Rows {
 			if r.Certified {
 				sum.Certified++
@@ -333,15 +321,19 @@ func validateOne(j Job) (row ResultRow, m *telemetry.Metrics) {
 			Err:      fmt.Errorf("harness: corpus function %s does not parse: %w", f.Name, err),
 		}, m
 	}
-	if j.DW != nil {
-		rec = j.DW.NewRecorder(f.Name)
-		j.Checker.Proof = rec
+	// A recorder that cannot be opened leaves the function to validate
+	// uncertified, with the failure on its row.
+	var recErr error
+	if j.ProofDir != "" {
+		if rec, recErr = proof.NewRecorder(j.ProofDir, f.Name); recErr == nil {
+			j.Checker.Proof = rec
+		}
 	}
 	out = tv.Validate(mod, f.Name, j.ISel, j.VCGen, j.Checker, j.Budget)
 	out.Phases.Parse = parseDur
 	out.Mem.Parse = parseAlloc
 	row = ResultRow{Fn: f.Name, Class: out.Class, Duration: out.Duration,
-		CodeSize: out.CodeSize, Err: out.Err}
+		CodeSize: out.CodeSize, Err: out.Err, ProofErr: recErr}
 	if rec != nil {
 		// Certificates are written for every row — including failures — so
 		// a "ref" certificate in another function can always resolve; the

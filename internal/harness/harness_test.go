@@ -1,7 +1,10 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -321,6 +324,57 @@ func TestVCCachePresetNotOverwritten(t *testing.T) {
 		if first.Rows[i].Class != second.Rows[i].Class {
 			t.Errorf("row %d class changed across warm-cache reruns: %v vs %v",
 				i, first.Rows[i].Class, second.Rows[i].Class)
+		}
+	}
+}
+
+// TestProofDirsReproducible: with no wall budget and no cross-function
+// VC cache each function's run is deterministic, and every function
+// writes its own artifact set, so proof directories written at 1 and 4
+// workers must be identical file by file and byte by byte.
+func TestProofDirsReproducible(t *testing.T) {
+	emit := func(workers int) map[string][]byte {
+		dir := t.TempDir()
+		sum := Run(Config{
+			Profile:        corpus.GCCLike(6),
+			Budget:         tv.Budget{MaxTermNodes: 3_000_000},
+			Workers:        workers,
+			DisableVCCache: true,
+			ProofDir:       dir,
+		})
+		if sum.ProofErr != nil || sum.CertFailed != 0 {
+			t.Fatalf("workers=%d: proof emission failed: %v (%d rows)", workers, sum.ProofErr, sum.CertFailed)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := map[string][]byte{}
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = data
+		}
+		return files
+	}
+	serial, parallel := emit(1), emit(4)
+	if len(serial) < 6*2+1 { // certs and terms per function, and the manifest
+		t.Fatalf("serial run wrote %d files for 6 functions", len(serial))
+	}
+	for name, data := range serial {
+		other, ok := parallel[name]
+		switch {
+		case !ok:
+			t.Errorf("%s: written at 1 worker, missing at 4", name)
+		case !bytes.Equal(data, other):
+			t.Errorf("%s: differs between 1 and 4 workers (%d vs %d bytes)", name, len(data), len(other))
+		}
+	}
+	for name := range parallel {
+		if _, ok := serial[name]; !ok {
+			t.Errorf("%s: written at 4 workers, missing at 1", name)
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/isel"
-	"repro/internal/proof"
 	"repro/internal/smt"
 	"repro/internal/telemetry"
 	"repro/internal/tv"
@@ -143,8 +142,9 @@ type Job struct {
 	VCGen   vcgen.Options
 	Checker core.Options
 	Budget  tv.Budget
-	// DW, when non-nil, makes the job emit proof artifacts through it.
-	DW *proof.DirWriter
+	// ProofDir, when set, makes the job write its function's proof
+	// artifacts into that directory.
+	ProofDir string
 	// Tracer, when non-nil, receives the job's span tree.
 	Tracer *telemetry.Tracer
 	// Submitted is when the job entered the queue (stamped by

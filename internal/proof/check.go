@@ -65,8 +65,8 @@ type dratCheckpoint struct {
 //
 // Verification streams: certificates decode value by value and each
 // trace replays in a single forward pass, so peak memory is bounded by
-// the term table plus one function's sessions per worker, not the
-// directory. Artifacts of any other format version — schema-1 headers,
+// the term segments (each function's is kept for its witness) plus one
+// function's sessions per worker, not the directory's traces. Artifacts of any other format version — schema-1 headers,
 // text DRAT traces, uncompressed JSON — are rejected as unsupported.
 func CheckDir(dir string) (*CheckReport, error) {
 	entries, err := os.ReadDir(dir)
@@ -91,7 +91,6 @@ func CheckDir(dir string) (*CheckReport, error) {
 		}
 	}
 	sort.Slice(jobs, func(i, j int) bool { return jobs[i].base < jobs[j].base })
-	segs := &termSegments{dir: dir}
 	order := append([]*fnJob(nil), jobs...)
 	sort.SliceStable(order, func(i, j int) bool { return dratSize[order[i].base] > dratSize[order[j].base] })
 	queue := make(chan *fnJob, len(order)) // holds every job: the sends never block
@@ -106,50 +105,22 @@ func CheckDir(dir string) (*CheckReport, error) {
 			defer wg.Done()
 			for j := range queue {
 				j.rep.ByKind = make(map[string]int)
-				j.loader, j.shared = segs.load(j.base, &j.rep)
+				j.loader = loadTermSegmentFile(dir, j.base+TermsSuffix, &j.rep)
 				j.fc = checkFunctionCerts(dir, j.base, j.loader, &j.rep)
 			}
 		}()
 	}
 	wg.Wait()
 
-	// Term segments: a per-function <base>.terms.jsonl wins over the
-	// run-wide TERMS.jsonl, so a directory materialized from
-	// self-contained store entries verifies exactly like a freshly
-	// emitted run (and the two layouts may coexist). The shared
-	// segment's own rejections enter the report where its first user
-	// does.
 	report := &CheckReport{ByKind: make(map[string]int)}
-	sharedReported := false
-	useShared := func() {
-		if !sharedReported {
-			sharedReported = true
-			report.Rejections = append(report.Rejections, segs.sharedRep.Rejections...)
-		}
-	}
 	loaders := map[string]*termLoader{}
 	byFunction := map[string]*fnCerts{}
 	for _, j := range jobs {
-		if j.shared {
-			useShared()
-		}
 		report.merge(&j.rep)
 		loaders[j.base] = j.loader
 		if j.fc != nil {
 			byFunction[j.fc.name] = j.fc
 		}
-	}
-	loaderFor := func(base string) *termLoader {
-		l, ok := loaders[base]
-		if !ok {
-			var shared bool
-			l, shared = segs.load(base, report)
-			if shared {
-				useShared()
-			}
-			loaders[base] = l
-		}
-		return l
 	}
 
 	// Content-addressed index of verified concrete certificates, for
@@ -227,10 +198,9 @@ func CheckDir(dir string) (*CheckReport, error) {
 			report.reject("%s: witness has unsupported schema %d", wf.Function, wf.Schema)
 			continue
 		}
-		loader := loaderFor(base)
+		loader := loaders[base]
 		if loader == nil {
-			report.reject("%s: witness but no term segment (%s or %s)",
-				wf.Function, base+TermsSuffix, TermsName)
+			report.reject("%s: witness but no term segment %s", wf.Function, base+TermsSuffix)
 			continue
 		}
 		before := len(report.Rejections)
@@ -271,7 +241,6 @@ type fnJob struct {
 	base   string
 	rep    CheckReport
 	loader *termLoader
-	shared bool // loader is the run-wide segment
 	fc     *fnCerts
 }
 
@@ -284,27 +253,6 @@ func (r *CheckReport) merge(p *CheckReport) {
 		r.ByKind[k] += n
 	}
 	r.Rejections = append(r.Rejections, p.Rejections...)
-}
-
-// termSegments resolves term segments for CheckDir's workers. The
-// run-wide segment is loaded once, on first use (a directory whose
-// functions all carry their own segment never reads it), into a report
-// of its own.
-type termSegments struct {
-	dir       string
-	once      sync.Once
-	shared    *termLoader
-	sharedRep CheckReport
-}
-
-// load returns base's per-function segment, or else the shared one
-// (shared true).
-func (ts *termSegments) load(base string, report *CheckReport) (l *termLoader, shared bool) {
-	if l := loadTermSegmentFile(ts.dir, base+TermsSuffix, report); l != nil {
-		return l, false
-	}
-	ts.once.Do(func() { ts.shared = loadTermSegmentFile(ts.dir, TermsName, &ts.sharedRep) })
-	return ts.shared, true
 }
 
 func loadJSON(dir, name string, v interface{}, report *CheckReport) bool {
@@ -330,10 +278,9 @@ func loadJSON(dir, name string, v interface{}, report *CheckReport) bool {
 	return true
 }
 
-// loadTermSegmentFile reads one term-table segment (the shared
-// TERMS.jsonl or a per-function <base>.terms.jsonl), if present.
-// Absence is not an error: most functions have no per-function segment,
-// and a directory of per-function segments has no shared one.
+// loadTermSegmentFile reads one function's term segment, if present.
+// Absence is rejected only where a certificate or witness needs a term:
+// a function whose certificates are all trace-backed verifies without.
 func loadTermSegmentFile(dir, name string, report *CheckReport) *termLoader {
 	f, err := os.Open(filepath.Join(dir, name))
 	if err != nil {
@@ -497,7 +444,7 @@ func checkFunctionCerts(dir, base string, loader *termLoader, report *CheckRepor
 	fc := &fnCerts{name: head.Function, byID: make(map[string]*certStatus)}
 	termOf := func(cs *certStatus) *term.Term {
 		if loader == nil {
-			report.reject("%s/%s: no term segment (%s or %s)", fc.name, cs.ID, base+TermsSuffix, TermsName)
+			report.reject("%s/%s: no term segment %s", fc.name, cs.ID, base+TermsSuffix)
 			return nil
 		}
 		t, err := loader.Term(cs.Term)

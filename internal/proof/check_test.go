@@ -708,71 +708,96 @@ func TestProofcheckImportConstraint(t *testing.T) {
 	}
 }
 
-// TestPerFunctionSegmentsVerify pins the self-contained per-function
-// layout result-store entries use: a directory whose term ids resolve
-// against <base>.terms.jsonl segments instead of the shared TERMS.jsonl
-// must verify identically, and the per-function segment must win when
-// both are present.
-func TestPerFunctionSegmentsVerify(t *testing.T) {
+// TestRetiredSharedSegmentRejected pins the one term-segment layout:
+// a function's term ids resolve only against its own <base>.terms.jsonl.
+// Renaming one function's segment to the retired run-wide TERMS.jsonl
+// must reject that function's term-backed certificates and its witness,
+// naming the missing segment, while every other function still
+// verifies.
+func TestRetiredSharedSegmentRejected(t *testing.T) {
 	src, _ := emitProofDir(t)
 	before, err := proof.CheckDir(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := copyProofDir(t, src)
-	shared, err := os.ReadFile(filepath.Join(dir, proof.TermsName))
-	if err != nil {
-		t.Fatal(err)
-	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	segments := 0
+	// Pick a certified function whose certificates no other function
+	// cites by reference, so its rejection cannot spread.
+	owner := map[string]string{} // certificate key → function
+	cited := map[string]bool{}   // functions owning a key another cites
+	var refs [][2]string         // (function, key) of each ref certificate
+	var bases []string
 	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), proof.CertsSuffix) {
+		base, ok := strings.CutSuffix(e.Name(), proof.CertsSuffix)
+		if !ok {
 			continue
 		}
-		base := strings.TrimSuffix(e.Name(), proof.CertsSuffix)
-		// The run-wide segment is a superset of every function's terms,
-		// so it doubles as each function's own segment here.
-		if err := os.WriteFile(filepath.Join(dir, base+proof.TermsSuffix), shared, 0o644); err != nil {
+		bases = append(bases, base)
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
 			t.Fatal(err)
 		}
-		segments++
+		for _, raw := range certValues(inflate(data)) {
+			var q proof.QueryCert
+			if json.Unmarshal(raw, &q) != nil || q.Key == "" {
+				continue
+			}
+			if q.Kind == proof.KindRef {
+				refs = append(refs, [2]string{base, q.Key})
+			} else if _, ok := owner[q.Key]; !ok {
+				owner[q.Key] = base
+			}
+		}
 	}
-	if segments == 0 {
-		t.Fatal("no certificate files to convert")
+	for _, r := range refs {
+		if fn := owner[r[1]]; fn != r[0] {
+			cited[fn] = true
+		}
 	}
-	if err := os.Remove(filepath.Join(dir, proof.TermsName)); err != nil {
+	victim := ""
+	for _, base := range bases {
+		if _, err := os.Stat(filepath.Join(dir, base+proof.WitnessSuffix)); err == nil && !cited[base] {
+			victim = base
+			break
+		}
+	}
+	if victim == "" {
+		t.Fatal("every certified function is cited by another function's ref certificate")
+	}
+	segment := victim + proof.TermsSuffix
+	if err := os.Rename(filepath.Join(dir, segment), filepath.Join(dir, "TERMS.jsonl")); err != nil {
 		t.Fatal(err)
 	}
+
 	after, err := proof.CheckDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(after.Rejections) != 0 {
-		t.Fatalf("per-function layout rejected: %s", after.Rejections[0])
+	if len(after.Rejections) == 0 {
+		t.Fatalf("%s verified against a run-wide TERMS.jsonl", victim)
 	}
-	if after.Queries != before.Queries || after.Witnesses != before.Witnesses {
-		t.Errorf("verification differs: shared %d queries/%d witnesses, per-function %d/%d",
-			before.Queries, before.Witnesses, after.Queries, after.Witnesses)
+	named := false
+	for _, r := range after.Rejections {
+		if !strings.Contains(r, victim) {
+			t.Errorf("rejection outside %s: %s", victim, r)
+		}
+		named = named || strings.Contains(r, "no term segment "+segment)
 	}
-
-	// Precedence: restore a shared segment that is present but empty; the
-	// per-function segments must still carry verification.
-	if err := os.WriteFile(filepath.Join(dir, proof.TermsName), nil, 0o644); err != nil {
-		t.Fatal(err)
+	if !named {
+		t.Errorf("no rejection names the missing segment %s: %q", segment, after.Rejections)
 	}
-	both, err := proof.CheckDir(dir)
-	if err != nil {
-		t.Fatal(err)
+	var others []string
+	for _, fn := range before.Certified {
+		if fn != victim {
+			others = append(others, fn)
+		}
 	}
-	if len(both.Rejections) != 0 {
-		t.Fatalf("per-function segment did not take precedence: %s", both.Rejections[0])
-	}
-	if both.Queries != before.Queries {
-		t.Errorf("queries differ with empty shared segment present: %d vs %d", both.Queries, before.Queries)
+	if !reflect.DeepEqual(after.Certified, others) {
+		t.Errorf("certified %v, want every function but %s: %v", after.Certified, victim, others)
 	}
 }
 

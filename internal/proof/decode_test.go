@@ -169,11 +169,10 @@ func seedCertDir(tb testing.TB) (dir, base string) {
 	tb.Helper()
 	dir = tb.TempDir()
 	const fn = "seed"
-	dw, err := NewFunctionDirWriter(dir, fn)
+	rec, err := NewRecorder(dir, fn)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	rec := dw.NewRecorder(fn)
 
 	c := term.NewContext()
 	x, y := c.VarBV("x", 8), c.VarBV("y", 8)
@@ -202,9 +201,6 @@ func seedCertDir(tb testing.TB) (dir, base string) {
 	sess.AddStep(OpInput, []int32{-2})
 	rec.RecordUnsat(sess, sess.Len(), nil, "")
 	if _, err := rec.Close(false); err != nil {
-		tb.Fatal(err)
-	}
-	if err := dw.Close(); err != nil {
 		tb.Fatal(err)
 	}
 	return dir, FileBase(fn)

@@ -2,12 +2,12 @@
 // translation-validation pipeline and implements the independent checker
 // that replays it.
 //
-// A proof directory holds one run-wide term segment plus up to three
-// artifacts per validated function:
+// A proof directory holds up to four artifacts per validated function,
+// each set written by the function's Recorder and self-contained:
 //
-//   - TERMS.jsonl — the shared term table: one serialized term-DAG node
-//     per line, in topological id order (see table.go). A self-contained
-//     per-function artifact set carries <fn>.terms.jsonl instead.
+//   - <fn>.terms.jsonl — the function's term segment: one serialized
+//     term-DAG node per line, in topological id order (see recorder.go).
+//     Certificates and witnesses reference terms by their id in it.
 //   - <fn>.certs.json — a stream of JSON values: a header, one record
 //     per SMT query the validator ran, in execution order (the verdict,
 //     the certificate kind, and for Sat verdicts the model plus the id
@@ -63,16 +63,18 @@
 package proof
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"sort"
 
 	"repro/internal/term"
 )
 
-// Schema is the certificate format version DirWriter writes and the
+// Schema is the certificate format version Recorder writes and the
 // only one CheckDir accepts: the certs file is a stream of concatenated
 // JSON values (header, one value per query certificate, session
-// trailer), term ids reference the run-wide shared TERMS.jsonl segment,
+// trailer), term ids index the function's own <fn>.terms.jsonl segment,
 // and the .drat companion uses the binary container (see bdrat.go).
 const Schema = 2
 
@@ -106,8 +108,8 @@ type QueryCert struct {
 	// Key is the alpha-invariant canonical hash of the queried term (hex).
 	// It is the content address "ref" certificates resolve against.
 	Key string `json:"key,omitempty"`
-	// Term is the global term id for kinds trivial/model/simplified (-1
-	// otherwise).
+	// Term is the term id in the function's segment for kinds
+	// trivial/model/simplified (-1 otherwise).
 	Term int `json:"term"`
 	// Model is the satisfying assignment for kind "model".
 	Model *Model `json:"model,omitempty"`
@@ -182,7 +184,7 @@ type PointInfo struct {
 type SuccState struct {
 	Loc   string `json:"loc"`
 	Error string `json:"error,omitempty"`
-	// PC is the global term id of the successor's path condition.
+	// PC is the term id of the successor's path condition.
 	PC int `json:"pc"`
 	// FeasQ names the Sat query certifying the path condition feasible;
 	// empty when the condition is the constant true (no query was run).
@@ -240,12 +242,9 @@ type ManifestRow struct {
 	Certified bool   `json:"certified"`
 }
 
-// Manifest is the on-disk MANIFEST.json document of a corpus run. Terms
-// names the shared term-table segment.
+// Manifest is the on-disk MANIFEST.json document of a corpus run.
 type Manifest struct {
 	Schema    int           `json:"schema"`
-	Terms     string        `json:"terms,omitempty"`
-	TermCount int           `json:"term_count,omitempty"`
 	Functions []ManifestRow `json:"functions"`
 }
 
@@ -280,21 +279,28 @@ func (s *Session) MapVar(name, sort string, bits []int) {
 	s.vars = append(s.vars, VarMap{Name: name, Sort: sort, Bits: bits})
 }
 
-// Recorder streams the certificates and the bisimulation witness of
-// one function under validation into its DirWriter's directory:
-// certificates, trace steps, and term rows are written as they are
-// recorded, and Close finalizes the function. It is used by a single
-// goroutine (the harness worker validating the function) and needs no
-// locking of its own; it shares only the run-wide term table, which
-// locks internally. Create one with DirWriter.NewRecorder.
+// Recorder streams the certificates, term segment and bisimulation
+// witness of one function under validation into a proof directory:
+// certificates and trace steps are written as they are recorded, and
+// Close writes the term segment and finalizes the function. It is used by a single
+// goroutine (the harness worker validating the function) and shares
+// nothing, so it needs no locking. Create one with NewRecorder.
 type Recorder struct {
 	function string
+	dir      string
 	nq       int
 	sessions []*Session
 
-	dw   *DirWriter
-	memo map[*term.Term]int32
-	st   *streamState
+	memo  map[*term.Term]int32 // segment id of every encoded term
+	rows  bytes.Buffer         // the term segment's TNode lines
+	terms *json.Encoder        // into rows
+	certs *zFile
+	drat  *outFile // nil until the first trace step
+	bin   *BinWriter
+
+	err    error // first error anywhere in the stream
+	closed bool
+	bytes  int64
 
 	mode    string
 	points  []PointInfo
@@ -325,12 +331,6 @@ func (r *Recorder) NewSession() *Session {
 	s := &Session{index: len(r.sessions), rec: r}
 	r.sessions = append(r.sessions, s)
 	return s
-}
-
-// EncodeTerm interns t into the run-wide shared table and returns its
-// global id.
-func (r *Recorder) EncodeTerm(t *term.Term) int {
-	return r.dw.table.Intern(t, r.memo)
 }
 
 func (r *Recorder) addQuery(q QueryCert) string {
@@ -378,8 +378,8 @@ func (r *Recorder) SetPoints(points []PointInfo) { r.points = points }
 // AddChecked appends the exploration record of one non-exiting point.
 func (r *Recorder) AddChecked(cp CheckedPoint) { r.checked = append(r.checked, cp) }
 
-// WitnessFile assembles the witness document. It references global
-// term ids and carries no table of its own.
+// WitnessFile assembles the witness document. It references ids of the
+// function's term segment and carries no table of its own.
 func (r *Recorder) WitnessFile() *WitnessFile {
 	return &WitnessFile{
 		Schema:   Schema,

@@ -2,7 +2,6 @@ package proof
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/term"
 )
@@ -176,14 +175,11 @@ func checkNode(k term.Kind, n *TNode, val uint64, args []*term.Term) error {
 	return nil
 }
 
-// termLoader lazily materializes a term segment of a proof directory
-// into one term context. Nodes decode in a monotonic
-// prefix (ids are topological), memoized across every function the
-// checker replays, so the segment is read and decoded once per CheckDir.
-// It is safe for concurrent use: CheckDir's workers share the run-wide
-// segment, and decoded terms are immutable once Term returns them.
+// termLoader lazily materializes one function's term segment into one
+// term context. Nodes decode in a monotonic prefix (ids are
+// topological), memoized across the function's certificates and its
+// witness, so the segment is read and decoded once per CheckDir.
 type termLoader struct {
-	mu    sync.Mutex
 	nodes []TNode
 	ctx   *term.Context
 	terms []*term.Term
@@ -194,14 +190,12 @@ func newTermLoader(nodes []TNode) *termLoader {
 	return &termLoader{nodes: nodes, ctx: term.NewContext(), terms: make([]*term.Term, len(nodes))}
 }
 
-// Term returns the term with global id i, decoding the table prefix up
-// to i on first use.
+// Term returns the term with id i, decoding the segment prefix up to i
+// on first use.
 func (l *termLoader) Term(i int) (*term.Term, error) {
 	if i < 0 || i >= len(l.nodes) {
 		return nil, fmt.Errorf("term id %d out of range (table has %d nodes)", i, len(l.nodes))
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	for ; l.next <= i; l.next++ {
 		t, err := decodeNode(l.ctx, l.next, &l.nodes[l.next], l.terms)
 		if err != nil {

@@ -12,13 +12,8 @@ const (
 	CertsSuffix   = ".certs.json"
 	DratSuffix    = ".drat"
 	WitnessSuffix = ".witness.json"
+	TermsSuffix   = ".terms.jsonl"
 	ManifestName  = "MANIFEST.json"
-	// TermsSuffix names a per-function term segment. A run-wide proof
-	// directory shares one TERMS.jsonl; a self-contained per-function
-	// artifact set (a result-store entry) instead carries
-	// <base>.terms.jsonl, and the checker prefers the per-function
-	// segment when both exist.
-	TermsSuffix = ".terms.jsonl"
 )
 
 // FileBase returns the sanitized per-function artifact base name.
@@ -43,11 +38,17 @@ func writeWitness(dir string, rec *Recorder) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	zdata, err := deflateJSON(append(data, '\n'))
+	return writeDeflated(filepath.Join(dir, FileBase(rec.function))+WitnessSuffix, append(data, '\n'))
+}
+
+// writeDeflated writes data to path in the compressed-JSON container
+// and returns the bytes written.
+func writeDeflated(path string, data []byte) (int64, error) {
+	zdata, err := deflateJSON(data)
 	if err != nil {
 		return 0, err
 	}
-	if err := os.WriteFile(filepath.Join(dir, FileBase(rec.function))+WitnessSuffix, zdata, 0o644); err != nil {
+	if err := os.WriteFile(path, zdata, 0o644); err != nil {
 		return 0, err
 	}
 	return int64(len(zdata)), nil

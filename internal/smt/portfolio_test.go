@@ -88,23 +88,19 @@ func TestPortfolioMatchesPlain(t *testing.T) {
 	}
 }
 
-// newTestRecorder returns a recorder streaming into a fresh
-// self-contained proof directory, and a finisher that closes the
-// recorder and its writer and returns the directory for CheckDir.
+// newTestRecorder returns a recorder streaming into a fresh proof
+// directory, and a finisher that closes the recorder and returns the
+// directory for CheckDir.
 func newTestRecorder(t *testing.T, name string) (*proof.Recorder, func() string) {
 	t.Helper()
 	dir := t.TempDir()
-	dw, err := proof.NewFunctionDirWriter(dir, name)
+	rec, err := proof.NewRecorder(dir, name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := dw.NewRecorder(name)
 	return rec, func() string {
 		t.Helper()
 		if _, err := rec.Close(false); err != nil {
-			t.Fatal(err)
-		}
-		if err := dw.Close(); err != nil {
 			t.Fatal(err)
 		}
 		return dir

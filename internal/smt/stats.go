@@ -23,7 +23,7 @@ type Stats struct {
 	CNFClauses    int64
 	Instances     int64 // SAT instances built (one per query when not Incremental)
 	SolveDuration time.Duration
-	ProofBytes    int64 // certificate bytes written, the run's term table included
+	ProofBytes    int64 // certificate bytes written, term segments included
 	Certificates  int64 // query certificates emitted
 
 	// Inprocessing counters (see internal/sat/preprocess.go).

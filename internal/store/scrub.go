@@ -110,28 +110,42 @@ func (s *Store) Quarantine(k Key, reason string) error {
 	return nil
 }
 
-// VerifyEntry re-checks one decoded entry end to end with the
-// cmd/proofcheck core: the artifacts are materialized into a scratch
-// directory with a single-row manifest and replayed by proof.CheckDir —
-// DRAT traces by reverse unit propagation, models by re-evaluation,
-// witnesses structurally. It returns nil only when every certificate
-// verifies; the scrubber quarantines on anything else.
-func VerifyEntry(e *Entry) error {
-	dir, err := os.MkdirTemp("", "store-scrub-")
+// EntryDir writes e's artifacts and a one-row MANIFEST.json into a new
+// temporary directory and returns its path, ready for proof.CheckDir.
+// An entry's artifact set is self-contained, so it checks in isolation.
+// The caller removes the directory.
+func EntryDir(e *Entry) (string, error) {
+	dir, err := os.MkdirTemp("", "store-entry-")
 	if err != nil {
-		return fmt.Errorf("store: %v", err)
+		return "", fmt.Errorf("store: %v", err)
+	}
+	err = MaterializeEntry(dir, e)
+	if err == nil {
+		err = proof.WriteManifest(dir, &proof.Manifest{
+			Functions: []proof.ManifestRow{{
+				Name: e.Meta.Function, Class: e.Meta.Class, Certified: e.Meta.Certified,
+			}},
+		})
+	}
+	if err != nil {
+		os.RemoveAll(dir)
+		return "", err
+	}
+	return dir, nil
+}
+
+// VerifyEntry re-checks one decoded entry end to end with the
+// cmd/proofcheck core: the entry is written out by EntryDir and
+// replayed by proof.CheckDir — DRAT traces by reverse unit propagation,
+// models by re-evaluation, witnesses structurally. It returns nil only
+// when every certificate verifies; the scrubber quarantines on anything
+// else.
+func VerifyEntry(e *Entry) error {
+	dir, err := EntryDir(e)
+	if err != nil {
+		return err
 	}
 	defer os.RemoveAll(dir)
-	if err := MaterializeEntry(dir, e); err != nil {
-		return err
-	}
-	if err := proof.WriteManifest(dir, &proof.Manifest{
-		Functions: []proof.ManifestRow{{
-			Name: e.Meta.Function, Class: e.Meta.Class, Certified: e.Meta.Certified,
-		}},
-	}); err != nil {
-		return err
-	}
 	report, err := proof.CheckDir(dir)
 	if err != nil {
 		return err

@@ -117,8 +117,8 @@ type Meta struct {
 
 // Artifact is one named certificate file carried by an entry. Names are
 // the exact file names a proof directory uses (<base>.certs.json,
-// <base>.drat, <base>.witness.json, <base>.terms.jsonl), so Materialize
-// is a plain write-out.
+// <base>.drat, <base>.witness.json, <base>.terms.jsonl), so
+// MaterializeEntry is a plain write-out.
 type Artifact struct {
 	Name string
 	Data []byte
@@ -365,16 +365,10 @@ func (s *Store) Len() int {
 	return n
 }
 
-// Materialize writes the entry's artifacts into dir — the store-backed
-// proof-directory path: together with the artifacts of the other served
-// functions and a MANIFEST.json, the result is a directory
+// MaterializeEntry writes the entry's artifacts into dir — the
+// store-backed proof-directory path: together with the artifacts of the
+// other served functions and a MANIFEST.json, the result is a directory
 // cmd/proofcheck verifies exactly like a freshly emitted one.
-func (s *Store) Materialize(dir string, e *Entry) error {
-	return MaterializeEntry(dir, e)
-}
-
-// MaterializeEntry is the Store-independent form of Materialize, usable
-// on an Entry obtained elsewhere.
 func MaterializeEntry(dir string, e *Entry) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("store: %v", err)

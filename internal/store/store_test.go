@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/proof"
 	"repro/internal/telemetry"
 )
 
@@ -291,9 +292,14 @@ func TestManifestValidation(t *testing.T) {
 func TestMaterialize(t *testing.T) {
 	s, _ := openTestStore(t)
 	e := testEntry()
-	out := t.TempDir()
-	if err := s.Materialize(out, e); err != nil {
+	out, err := EntryDir(e)
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer os.RemoveAll(out)
+	m, err := proof.ReadManifest(out)
+	if err != nil || m == nil || len(m.Functions) != 1 || m.Functions[0].Name != e.Meta.Function {
+		t.Fatalf("entry manifest: %+v, %v", m, err)
 	}
 	for _, a := range e.Artifacts {
 		data, err := os.ReadFile(filepath.Join(out, a.Name))

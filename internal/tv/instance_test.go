@@ -41,18 +41,14 @@ func corpusModule(tb testing.TB) *llvmir.Module {
 func TestSATInstancePerSyncPoint(t *testing.T) {
 	mod := corpusModule(t)
 	dir := t.TempDir()
-	dw, err := proof.NewFunctionDirWriter(dir, multiPointFn)
+	rec, err := proof.NewRecorder(dir, multiPointFn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := dw.NewRecorder(multiPointFn)
 	tracer := telemetry.NewTracer()
 	out := Validate(mod, multiPointFn, isel.Options{}, vcgen.Options{},
 		core.Options{Proof: rec, Trace: tracer}, Budget{})
 	if _, err := rec.Close(out.Class == ClassSucceeded); err != nil {
-		t.Fatal(err)
-	}
-	if err := dw.Close(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -306,12 +306,11 @@ func (s *Server) admit(tenant string, n int) (release func(k int), err error) {
 type pendingJob struct {
 	req JobRequest
 	key store.Key
-	// dir/dw are the per-job scratch proof directory and its writer
-	// (self-contained per-function artifact set).
+	// dir is the per-job scratch proof directory that receives the
+	// function's artifact set.
 	dir string
-	dw  *proof.DirWriter
-	// proofErr records a proof-dir/writer creation failure so finishJob
-	// can surface it on the row (the job itself still validates,
+	// proofErr records a proof-dir creation failure so finishJob can
+	// surface it on the row (the job itself still validates,
 	// uncertified).
 	proofErr error
 }
@@ -430,16 +429,12 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		pj := &pendingJob{req: req.Jobs[i], key: keys[i]}
-		dir, err := os.MkdirTemp(s.cfg.WorkDir, "tvd-job-")
-		if err == nil {
+		if dir, err := os.MkdirTemp(s.cfg.WorkDir, "tvd-job-"); err == nil {
 			pj.dir = dir
-			pj.dw, err = proof.NewFunctionDirWriter(dir, req.Jobs[i].Fn)
-		}
-		if err != nil {
+		} else {
 			// Degrade to uncertified validation rather than failing the
 			// batch; finishJob surfaces the recorded error on the row.
 			s.metrics.Add("tvd.proofdir_fail", 1)
-			pj.dw = nil
 			pj.proofErr = err
 		}
 		pending[i] = pj
@@ -450,11 +445,11 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 			// A fresh per-job VC cache keeps ref certificates resolvable
 			// within the job's own artifact set — the property that makes
 			// a store entry independently checkable (proofcheck -store).
-			Checker: core.Options{VCCache: smt.NewCache()},
-			Budget:  budget,
-			DW:      pj.dw,
-			Tracer:  tracer,
-			Done:    func(res harness.JobResult) { results <- res },
+			Checker:  core.Options{VCCache: smt.NewCache()},
+			Budget:   budget,
+			ProofDir: pj.dir,
+			Tracer:   tracer,
+			Done:     func(res harness.JobResult) { results <- res },
 		})
 	}
 	for done := 0; done < misses; done++ {
@@ -559,8 +554,8 @@ func (s *Server) rowFromEntry(index int, k store.Key, e *store.Entry, withArtifa
 	return row
 }
 
-// finishJob closes the job's proof writer, collects its artifact set,
-// stores the verdict, and builds the response row.
+// finishJob collects the job's artifact set, stores the verdict, and
+// builds the response row.
 func (s *Server) finishJob(pj *pendingJob, res harness.JobResult, withArtifacts bool, epoch time.Time) RowJSON {
 	row := RowJSON{
 		Index:       res.Index,
@@ -583,10 +578,7 @@ func (s *Server) finishJob(pj *pendingJob, res harness.JobResult, withArtifacts 
 	if pj.proofErr != nil && row.ProofErr == "" {
 		row.ProofErr = pj.proofErr.Error()
 	}
-	if pj.dw != nil {
-		if err := pj.dw.Close(); err != nil && row.ProofErr == "" {
-			row.ProofErr = err.Error()
-		}
+	if pj.dir != "" {
 		arts := collectArtifacts(pj.dir, pj.req.Fn)
 		if row.ProofErr == "" && s.store != nil && storableClass(res.Row.Class) {
 			entry := &store.Entry{
@@ -609,8 +601,6 @@ func (s *Server) finishJob(pj *pendingJob, res harness.JobResult, withArtifacts 
 				row.Artifacts = append(row.Artifacts, ArtifactJSON{Name: a.Name, Data: a.Data})
 			}
 		}
-	}
-	if pj.dir != "" {
 		os.RemoveAll(pj.dir)
 	}
 	return row

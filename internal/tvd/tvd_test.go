@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -383,5 +386,63 @@ func TestJobKey(t *testing.T) {
 			t.Errorf("changing %s collides with %s", d.name, prev)
 		}
 		seen[d.key.Hex()] = d.name
+	}
+}
+
+// TestDaemonArtifactsMatchLocalRun: the daemon and a batch run write one
+// certificate layout. Each function's artifacts as the daemon returns
+// them (a fresh per-job VC cache, no wall budget) must equal, file by
+// file and byte by byte, the files a single-function harness.Run writes
+// for it.
+func TestDaemonArtifactsMatchLocalRun(t *testing.T) {
+	fns := testCorpus(3)
+	s, hs := newTestServer(t, ServerConfig{Workers: 1, WorkDir: t.TempDir()})
+	defer s.Close()
+	res, err := NewClient(hs.URL).Validate(testBatch(fns), nil)
+	if err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	traces := 0
+	for i, f := range fns {
+		dir := t.TempDir()
+		sum := harness.Run(harness.Config{
+			Functions: []corpus.Function{f},
+			Budget:    tv.Budget{MaxTermNodes: testMaxTermNodes},
+			Workers:   1,
+			ProofDir:  dir,
+		})
+		if sum.ProofErr != nil {
+			t.Fatal(sum.ProofErr)
+		}
+		local := map[string][]byte{}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if e.Name() == proof.ManifestName {
+				continue
+			}
+			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			local[e.Name()] = data
+		}
+		row := res.Rows[i]
+		if len(row.Artifacts) != len(local) {
+			t.Errorf("%s: daemon returned %d artifacts, local run wrote %d files", f.Name, len(row.Artifacts), len(local))
+		}
+		for _, a := range row.Artifacts {
+			if strings.HasSuffix(a.Name, proof.DratSuffix) {
+				traces++
+			}
+			if data, ok := local[a.Name]; !ok || !bytes.Equal(a.Data, data) {
+				t.Errorf("%s: daemon artifact %s differs from the local run's file (present %t)", f.Name, a.Name, ok)
+			}
+		}
+	}
+	if traces == 0 {
+		t.Fatal("no function produced a DRAT trace: the comparison misses the trace files")
 	}
 }
