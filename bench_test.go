@@ -385,7 +385,8 @@ func BenchmarkRegAllocValidation(b *testing.B) {
 }
 
 // figure6Config builds the canonical Fig. 6 bench configuration; cache
-// toggles only the run-wide VC result cache, everything else held fixed.
+// toggles only the per-function VC result cache, everything else held
+// fixed.
 func figure6Config(workers int, cache bool) harness.Config {
 	return harness.Config{
 		Profile:         corpus.GCCLike(figure6Corpus),
@@ -397,7 +398,7 @@ func figure6Config(workers int, cache bool) harness.Config {
 }
 
 // BenchmarkFigure6 compares the Figure 6 corpus run across the solver
-// configurations: with and without the shared VC result cache, with
+// configurations: with and without the per-function VC result cache, with
 // proof-certificate emission on top of the cached configuration, and with
 // span tracing on top of that. Class counts must match the serial
 // baseline in every configuration — neither the cache, proof logging, nor
@@ -455,11 +456,9 @@ func BenchmarkFigure6(b *testing.B) {
 }
 
 // BenchmarkAblationNoVCCache is the EXPERIMENTS.md ablation row for the
-// run-wide VC result cache.
+// VC result cache: a corpus run with every function's solver cache off.
+// The runAblation rows run with it on, like every other configuration.
 func BenchmarkAblationNoVCCache(b *testing.B) {
-	// tv.Validate creates a fresh solver per function with no shared
-	// cache, so the per-function ablation baseline is runAblation itself;
-	// what this row measures is a corpus run with the harness cache off.
 	base := fig6BaselineCounts()
 	for i := 0; i < b.N; i++ {
 		sum := harness.Run(figure6Config(4, false))

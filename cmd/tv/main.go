@@ -23,8 +23,8 @@
 // -timeout budget bounds the whole per-function pipeline (ISel, VC
 // generation, and KEQ), not just the SMT phase. -j spreads the
 // experiment corpus across a worker pool; results are identical to a
-// serial run (rows stay in corpus order), only faster. All experiment
-// workers share one verification-condition result cache keyed by
+// serial run (rows stay in corpus order), only faster. Each function's
+// solver keeps its own verification-condition result cache keyed by
 // alpha-invariant canonical term hashes; -no-vc-cache disables it, and
 // -negative-form, -no-portfolio and -no-cube are the other ablation
 // switches. -cpuprofile/-memprofile write pprof profiles for corpus runs.
@@ -66,7 +66,7 @@ func run() int {
 	conflicts := flag.Int64("conflicts", 0, "per-query SAT conflict budget (0 = unlimited)")
 	inadequate := flag.Int("inadequate-every", 150, "validate every n-th function with coarse liveness (0 = never)")
 	negForm := flag.Bool("negative-form", false, "ablation: disable the positive-form SMT optimization")
-	noVCCache := flag.Bool("no-vc-cache", false, "ablation: disable the run-wide VC result cache")
+	noVCCache := flag.Bool("no-vc-cache", false, "ablation: disable the per-function VC result cache")
 	noPortfolio := flag.Bool("no-portfolio", false, "ablation: disable the probe/cube escalation ladder")
 	noCube := flag.Bool("no-cube", false, "ablation: disable cube-and-conquer escalation for the hardest queries")
 	progress := flag.Bool("progress", false, "print per-function progress")
@@ -115,6 +115,7 @@ func run() int {
 	budget := tv.Budget{Timeout: *timeout, MaxTermNodes: *maxNodes, ConflictBudget: *conflicts}
 	copts := core.Options{
 		DisablePositiveForm: *negForm,
+		DisableVCCache:      *noVCCache,
 		DisableCube:         *noCube,
 	}
 
@@ -156,7 +157,6 @@ func run() int {
 				InadequateEvery:  *inadequate,
 				Checker:          copts,
 				Workers:          *jobs,
-				DisableVCCache:   *noVCCache,
 				DisablePortfolio: *noPortfolio,
 				ProofDir:         *emitProofs,
 				Tracer:           tracer,

@@ -43,11 +43,11 @@ type Options struct {
 	// (the behavior the paper's §5.1 blames for much of the timeout tail
 	// in K's Z3 integration; incremental solving is the default here).
 	DisableIncrementalSMT bool
-	// VCCache, when non-nil, is the shared verification-condition result
-	// cache the solver consults before solving (see smt.Cache). The
-	// harness injects one cache per corpus run so structurally identical
-	// obligations are proved once across all functions and workers.
-	VCCache *smt.Cache
+	// DisableVCCache turns off the solver's verification-condition result
+	// cache (ablation). By default the solver answers a query that is
+	// alpha-equivalent to one it already decided for this function
+	// without solving (see smt.Solver.CacheResults).
+	DisableVCCache bool
 	// Portfolio, when non-nil, runs stuck queries up the probe → cube
 	// escalation ladder with its probe budgets (see smt.Portfolio; the
 	// zero value takes the defaults). The harness injects one per run.
@@ -100,7 +100,7 @@ func NewChecker(solver *smt.Solver, left, right Semantics, opts Options) *Checke
 		opts.MaxSteps = 1 << 20
 	}
 	solver.Incremental = !opts.DisableIncrementalSMT
-	solver.Cache = opts.VCCache
+	solver.CacheResults = !opts.DisableVCCache
 	solver.Portfolio = opts.Portfolio
 	solver.DisableCube = opts.DisableCube
 	solver.Recorder = opts.Proof

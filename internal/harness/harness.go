@@ -55,11 +55,11 @@ type Config struct {
 	// panic while validating one function is recovered into that
 	// function's row instead of killing the run.
 	Workers int
-	// DisableVCCache turns off the run-wide verification-condition result
-	// cache (ablation). By default Run creates one smt.Cache shared by all
-	// workers, so an obligation that is alpha-equivalent to one already
-	// discharged — by any worker, in any function — is answered without
-	// solving. Ignored when Checker.VCCache is already set by the caller.
+	// DisableVCCache turns off the verification-condition result cache
+	// (ablation) by setting Checker.DisableVCCache on every job. By
+	// default each function's solver keeps its own cache, so a query
+	// alpha-equivalent to one already decided for the same function is
+	// answered without solving; workers share no solver state.
 	DisableVCCache bool
 	// DisablePortfolio turns off the probe/cube escalation ladder
 	// (ablation). By default every checker runs the ladder with its
@@ -67,9 +67,10 @@ type Config struct {
 	DisablePortfolio bool
 	// ProofDir, when non-empty, makes every validated function emit proof
 	// certificates into that directory: query certificates plus DRAT
-	// traces for all functions (so cache references across functions never
-	// dangle), a bisimulation witness for each Succeeded function, and a
-	// MANIFEST.json for the run. Verify with cmd/proofcheck.
+	// traces for all functions (a cache reference cites a certificate of
+	// its own function), a bisimulation witness for each Succeeded
+	// function, and a MANIFEST.json for the run. Verify with
+	// cmd/proofcheck.
 	//
 	// Emission streams: certificates and binary DRAT traces are written
 	// as they are recorded, and each function writes its own term
@@ -149,8 +150,8 @@ func Run(cfg Config) *Summary {
 	if fns == nil {
 		fns = corpus.Generate(cfg.Profile)
 	}
-	if cfg.Checker.VCCache == nil && !cfg.DisableVCCache {
-		cfg.Checker.VCCache = smt.NewCache()
+	if cfg.DisableVCCache {
+		cfg.Checker.DisableVCCache = true
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -291,8 +292,8 @@ func validateOne(j Job) (row ResultRow, m *telemetry.Metrics) {
 			}
 			out = nil
 			if rec != nil {
-				// Certificates recorded before the panic may already back
-				// cache entries other functions reference; keep them.
+				// Certificates recorded before the panic still verify on
+				// their own; close the files so they stay readable.
 				n, perr := rec.Close(false)
 				(&smt.Stats{ProofBytes: n}).Record(m)
 				if perr != nil {
@@ -335,10 +336,10 @@ func validateOne(j Job) (row ResultRow, m *telemetry.Metrics) {
 	row = ResultRow{Fn: f.Name, Class: out.Class, Duration: out.Duration,
 		CodeSize: out.CodeSize, Err: out.Err, ProofErr: recErr}
 	if rec != nil {
-		// Certificates are written for every row — including failures — so
-		// a "ref" certificate in another function can always resolve; the
-		// witness is written only when validation succeeded. ProofBytes
-		// counts what actually landed on disk for this function.
+		// Certificates are written for every row — a failed function's
+		// verdicts are still checked — and the witness only when
+		// validation succeeded. ProofBytes counts what actually landed
+		// on disk for this function.
 		bytes, perr := rec.Close(out.Class == tv.ClassSucceeded)
 		row.Certified = out.Class == tv.ClassSucceeded && perr == nil
 		out.SMTStats.ProofBytes = bytes

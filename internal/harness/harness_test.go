@@ -12,7 +12,6 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/isel"
 	"repro/internal/paperprogs"
-	"repro/internal/smt"
 	"repro/internal/tv"
 )
 
@@ -264,7 +263,7 @@ func TestHistogramEdges(t *testing.T) {
 }
 
 // TestVCCacheParity is the cache-correctness acceptance test: a 4-worker
-// run sharing the run-wide VC cache must produce row-for-row identical
+// run with each function's VC cache on must produce row-for-row identical
 // results to a cache-disabled serial run. Only the term-node budget is
 // set (no wall clock), so every class is exactly reproducible and a
 // cache hit can never move a function across a classification boundary.
@@ -284,7 +283,7 @@ func TestVCCacheParity(t *testing.T) {
 			serial.SMTStats.CacheHits, serial.SMTStats.CacheMisses)
 	}
 	if cached.SMTStats.CacheHits == 0 {
-		t.Errorf("shared-cache run recorded no hits (misses=%d); corpus too diverse or cache not wired",
+		t.Errorf("cached run recorded no hits (misses=%d); corpus too diverse or cache not wired",
 			cached.SMTStats.CacheMisses)
 	}
 	if len(serial.Rows) != len(cached.Rows) {
@@ -303,44 +302,19 @@ func TestVCCacheParity(t *testing.T) {
 	}
 }
 
-// TestVCCachePresetNotOverwritten: a caller-provided cache is used as-is,
-// so several Run invocations can share hits across whole corpus runs.
-func TestVCCachePresetNotOverwritten(t *testing.T) {
-	shared := smt.NewCache()
-	budget := tv.Budget{MaxTermNodes: 4_000_000}
-	cfg := Config{Profile: parallelProfile, Budget: budget, Workers: 2}
-	cfg.Checker.VCCache = shared
-	first := Run(cfg)
-	entries := shared.Len()
-	if entries == 0 {
-		t.Fatalf("run with preset cache stored nothing")
-	}
-	second := Run(cfg)
-	if second.SMTStats.CacheHits <= first.SMTStats.CacheHits {
-		t.Errorf("second run over a warm cache did not hit more: %d then %d",
-			first.SMTStats.CacheHits, second.SMTStats.CacheHits)
-	}
-	for i := range first.Rows {
-		if first.Rows[i].Class != second.Rows[i].Class {
-			t.Errorf("row %d class changed across warm-cache reruns: %v vs %v",
-				i, first.Rows[i].Class, second.Rows[i].Class)
-		}
-	}
-}
-
-// TestProofDirsReproducible: with no wall budget and no cross-function
-// VC cache each function's run is deterministic, and every function
-// writes its own artifact set, so proof directories written at 1 and 4
-// workers must be identical file by file and byte by byte.
+// TestProofDirsReproducible: with no wall budget each function's run is
+// deterministic — its VC cache is its own solver's, so no other worker
+// can answer its queries — and every function writes its own artifact
+// set, so proof directories written at 1 and 4 workers must be identical
+// file by file and byte by byte.
 func TestProofDirsReproducible(t *testing.T) {
 	emit := func(workers int) map[string][]byte {
 		dir := t.TempDir()
 		sum := Run(Config{
-			Profile:        corpus.GCCLike(6),
-			Budget:         tv.Budget{MaxTermNodes: 3_000_000},
-			Workers:        workers,
-			DisableVCCache: true,
-			ProofDir:       dir,
+			Profile:  corpus.GCCLike(6),
+			Budget:   tv.Budget{MaxTermNodes: 3_000_000},
+			Workers:  workers,
+			ProofDir: dir,
 		})
 		if sum.ProofErr != nil || sum.CertFailed != 0 {
 			t.Fatalf("workers=%d: proof emission failed: %v (%d rows)", workers, sum.ProofErr, sum.CertFailed)

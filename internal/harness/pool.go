@@ -18,9 +18,11 @@ import (
 // scratch arena (term-table storage and blaster literal slabs) that
 // persists across jobs — the warm-solver property the tvd daemon is
 // built on: request N+1 reuses the memory request N grew, instead of
-// re-paying allocation from a cold heap. Batch runs (Run) and the
-// daemon submit through the same Pool, so their per-function behavior
-// is identical by construction.
+// re-paying allocation from a cold heap. Nothing else carries over:
+// each job gets a fresh solver whose VC cache lives as long as the job,
+// so workers share no solver state. Batch runs (Run) and the daemon
+// submit through the same Pool, so their per-function behavior is
+// identical by construction.
 //
 // Jobs are delivered over a bounded queue. Submit blocks while the
 // queue is full; TrySubmit refuses instead — the backpressure primitive

@@ -53,21 +53,24 @@ type dratCheckpoint struct {
 // CheckDir verifies every certificate artifact in dir: DRAT traces by
 // reverse unit propagation, Sat models by direct term evaluation,
 // cache references against the verified certificate with the same
-// canonical key, and bisimulation witnesses for structural
-// well-formedness with every cited query verified. The returned report
-// lists every rejection; an error is returned only for directory-level
-// I/O failures.
+// canonical key in the same function, and bisimulation witnesses for
+// structural well-formedness with every cited query verified. The
+// returned report lists every rejection; an error is returned only for
+// directory-level I/O failures.
 //
 // Functions are checked on runtime.GOMAXPROCS(0) workers, largest DRAT
-// trace first, each into its own partial report; the partials merge in
-// sorted base order, so the report does not depend on the worker count.
-// Ref resolution, witnesses and the manifest follow serially.
+// trace first. A worker does all of one function's work — term segment,
+// certificates, trace, refs, witness — into its own partial report; the
+// partials merge in sorted base order, so the report does not depend on
+// the worker count. What follows serially spans functions: no key may be
+// verified with two results, every witness needs a certificate file, and
+// the manifest must agree.
 //
 // Verification streams: certificates decode value by value and each
-// trace replays in a single forward pass, so peak memory is bounded by
-// the term segments (each function's is kept for its witness) plus one
-// function's sessions per worker, not the directory's traces. Artifacts of any other format version — schema-1 headers,
-// text DRAT traces, uncompressed JSON — are rejected as unsupported.
+// trace replays in a single forward pass, so peak memory is one
+// function's term segment and sessions per worker, not the directory's.
+// Artifacts of any other format version — schema-1 headers, text DRAT
+// traces, uncompressed JSON — are rejected as unsupported.
 func CheckDir(dir string) (*CheckReport, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -104,111 +107,37 @@ func CheckDir(dir string) (*CheckReport, error) {
 		go func() {
 			defer wg.Done()
 			for j := range queue {
-				j.rep.ByKind = make(map[string]int)
-				j.loader = loadTermSegmentFile(dir, j.base+TermsSuffix, &j.rep)
-				j.fc = checkFunctionCerts(dir, j.base, j.loader, &j.rep)
+				j.check(dir, witnessBases[j.base])
 			}
 		}()
 	}
 	wg.Wait()
 
 	report := &CheckReport{ByKind: make(map[string]int)}
-	loaders := map[string]*termLoader{}
-	byFunction := map[string]*fnCerts{}
+	index := map[string]keyedVerdict{}
 	for _, j := range jobs {
 		report.merge(&j.rep)
-		loaders[j.base] = j.loader
-		if j.fc != nil {
-			byFunction[j.fc.name] = j.fc
-		}
-	}
-
-	// Content-addressed index of verified concrete certificates, for
-	// resolving "ref" (cache hit) certificates. Conflicting verdicts for
-	// one key mean the pipeline contradicted itself — reject loudly.
-	type indexed struct {
-		result string
-		where  string
-	}
-	index := map[string]indexed{}
-	names := make([]string, 0, len(byFunction))
-	for name := range byFunction {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fc := byFunction[name]
-		ids := make([]string, 0, len(fc.byID))
-		for id := range fc.byID {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			cs := fc.byID[id]
-			if !cs.verified || cs.Kind == KindRef || cs.Key == "" {
-				continue
-			}
-			where := name + "/" + id
-			if prev, ok := index[cs.Key]; ok {
-				if prev.result != cs.Result {
+		delete(witnessBases, j.base)
+		// Each key verified in this function; conflicting verdicts for
+		// one key mean the pipeline contradicted itself — reject loudly.
+		for _, k := range j.keys {
+			if prev, ok := index[k.key]; ok {
+				if prev.result != k.result {
 					report.reject("%s: key %s verified %s here but %s at %s",
-						where, cs.Key, cs.Result, prev.result, prev.where)
+						k.where, k.key, k.result, prev.result, prev.where)
 				}
 				continue
 			}
-			index[cs.Key] = indexed{result: cs.Result, where: where}
+			index[k.key] = k
 		}
 	}
-	for _, name := range names {
-		fc := byFunction[name]
-		for _, cs := range fc.refs {
-			got, ok := index[cs.Key]
-			switch {
-			case !ok:
-				report.reject("%s/%s: ref to key %s but no verified certificate has that key",
-					name, cs.ID, cs.Key)
-			case got.result != cs.Result:
-				report.reject("%s/%s: ref claims %s but key %s verified %s at %s",
-					name, cs.ID, cs.Result, cs.Key, got.result, got.where)
-			default:
-				cs.verified = true
-				report.Queries++
-				report.ByKind[KindRef]++
-			}
-		}
+	orphans := make([]string, 0, len(witnessBases))
+	for base := range witnessBases {
+		orphans = append(orphans, base)
 	}
-
-	// Witnesses.
-	wbases := make([]string, 0, len(witnessBases))
-	for b := range witnessBases {
-		wbases = append(wbases, b)
-	}
-	sort.Strings(wbases)
-	for _, base := range wbases {
-		var wf WitnessFile
-		if !loadJSON(dir, base+WitnessSuffix, &wf, report) {
-			continue
-		}
-		fc := byFunction[wf.Function]
-		if fc == nil {
-			report.reject("%s: witness for %q has no certificate file", base+WitnessSuffix, wf.Function)
-			continue
-		}
-		if wf.Schema != Schema {
-			report.reject("%s: witness has unsupported schema %d", wf.Function, wf.Schema)
-			continue
-		}
-		loader := loaders[base]
-		if loader == nil {
-			report.reject("%s: witness but no term segment %s", wf.Function, base+TermsSuffix)
-			continue
-		}
-		before := len(report.Rejections)
-		verifyWitness(&wf, fc, loader.Term, report)
-		if len(report.Rejections) == before {
-			report.Witnesses++
-			report.Certified = append(report.Certified, wf.Function)
-		}
+	sort.Strings(orphans)
+	for _, base := range orphans {
+		report.reject("%s: no certificate file %s", base+WitnessSuffix, base+CertsSuffix)
 	}
 
 	// Manifest, when present: every row the run recorded as certified
@@ -235,18 +164,114 @@ func CheckDir(dir string) (*CheckReport, error) {
 	return report, nil
 }
 
-// fnJob is one function's certificate check, run by a CheckDir worker
-// into its own partial report.
+// fnJob is one function's check, run by a CheckDir worker into its own
+// partial report.
 type fnJob struct {
-	base   string
-	rep    CheckReport
-	loader *termLoader
-	fc     *fnCerts
+	base string
+	rep  CheckReport
+	keys []keyedVerdict // one per key verified here, in query-id order
 }
 
-// merge adds a partial report's counts and rejections to r.
+// keyedVerdict is a canonical key verified in one function, for the
+// cross-function consistency check.
+type keyedVerdict struct {
+	key, result, where string
+}
+
+// check verifies the function at j.base start to finish: its term
+// segment, certificates and trace, its ref certificates against its own
+// verified keys, and its witness when it has one. The decoded segment
+// is dropped when check returns.
+func (j *fnJob) check(dir string, hasWitness bool) {
+	rep := &j.rep
+	rep.ByKind = make(map[string]int)
+	loader := loadTermSegmentFile(dir, j.base+TermsSuffix, rep)
+	fc := checkFunctionCerts(dir, j.base, loader, rep)
+	if fc != nil {
+		j.keys = resolveRefs(fc, rep)
+	}
+	if !hasWitness {
+		return
+	}
+	var wf WitnessFile
+	switch {
+	case !loadJSON(dir, j.base+WitnessSuffix, &wf, rep):
+	case fc == nil:
+		rep.reject("%s: witness for %q has no readable certificate file", j.base+WitnessSuffix, wf.Function)
+	case FileBase(wf.Function) != j.base:
+		// One base per function, so no function is certified twice.
+		rep.reject("%s: witness for %q belongs in %s",
+			j.base+WitnessSuffix, wf.Function, FileBase(wf.Function)+WitnessSuffix)
+	case wf.Function != fc.name:
+		rep.reject("%s: witness for %q but %s is for %q",
+			j.base+WitnessSuffix, wf.Function, j.base+CertsSuffix, fc.name)
+	case wf.Schema != Schema:
+		rep.reject("%s: witness has unsupported schema %d", wf.Function, wf.Schema)
+	case loader == nil:
+		rep.reject("%s: witness but no term segment %s", wf.Function, j.base+TermsSuffix)
+	default:
+		before := len(rep.Rejections)
+		verifyWitness(&wf, fc, loader.Term, rep)
+		if len(rep.Rejections) == before {
+			rep.Witnesses++
+			rep.Certified = append(rep.Certified, wf.Function)
+		}
+	}
+}
+
+// resolveRefs verifies fc's ref certificates against the certificates
+// fc itself verified with the same key, and returns those keys for the
+// cross-function consistency check, the first certificate of each key
+// in query-id order. A ref never resolves in another function.
+func resolveRefs(fc *fnCerts, report *CheckReport) []keyedVerdict {
+	ids := make([]string, 0, len(fc.byID))
+	for id := range fc.byID {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	var keys []keyedVerdict
+	index := map[string]keyedVerdict{}
+	for _, id := range ids {
+		cs := fc.byID[id]
+		if !cs.verified || cs.Kind == KindRef || cs.Key == "" {
+			continue
+		}
+		where := fc.name + "/" + id
+		if prev, ok := index[cs.Key]; ok {
+			if prev.result != cs.Result {
+				report.reject("%s: key %s verified %s here but %s at %s",
+					where, cs.Key, cs.Result, prev.result, prev.where)
+			}
+			continue
+		}
+		k := keyedVerdict{key: cs.Key, result: cs.Result, where: where}
+		index[cs.Key] = k
+		keys = append(keys, k)
+	}
+	for _, cs := range fc.refs {
+		got, ok := index[cs.Key]
+		switch {
+		case !ok:
+			report.reject("%s/%s: ref to key %s but no verified certificate of %s has that key",
+				fc.name, cs.ID, cs.Key, fc.name)
+		case got.result != cs.Result:
+			report.reject("%s/%s: ref claims %s but key %s verified %s at %s",
+				fc.name, cs.ID, cs.Result, cs.Key, got.result, got.where)
+		default:
+			cs.verified = true
+			report.Queries++
+			report.ByKind[KindRef]++
+		}
+	}
+	return keys
+}
+
+// merge adds a partial report's counts, certified functions and
+// rejections to r.
 func (r *CheckReport) merge(p *CheckReport) {
 	r.Functions += p.Functions
+	r.Witnesses += p.Witnesses
+	r.Certified = append(r.Certified, p.Certified...)
 	r.Queries += p.Queries
 	r.Steps += p.Steps
 	for k, n := range p.ByKind {
@@ -322,7 +347,8 @@ func loadTermSegmentFile(dir, name string, report *CheckReport) *termLoader {
 // verifyQueryKind performs the trace-independent verification of one
 // query certificate: trivial and simplified certificates re-read the
 // decoded term, model certificates re-evaluate the recorded assignment,
-// refs are queued for global resolution. It returns true when the
+// refs are queued for resolution once the function's other
+// certificates are verified. It returns true when the
 // certificate is a DRAT obligation the caller must discharge against
 // the session trace.
 func verifyQueryKind(fc *fnCerts, cs *certStatus, termOf func(*certStatus) *term.Term, report *CheckReport) bool {
@@ -394,7 +420,7 @@ func verifyQueryKind(fc *fnCerts, cs *certStatus, termOf func(*certStatus) *term
 			return false
 		}
 		fc.refs = append(fc.refs, cs)
-		return false // resolved globally after all functions verify
+		return false // resolved by resolveRefs
 	default:
 		report.reject("%s/%s: unknown certificate kind %q", fc.name, cs.ID, cs.Kind)
 		return false

@@ -725,48 +725,17 @@ func TestRetiredSharedSegmentRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pick a certified function whose certificates no other function
-	// cites by reference, so its rejection cannot spread.
-	owner := map[string]string{} // certificate key → function
-	cited := map[string]bool{}   // functions owning a key another cites
-	var refs [][2]string         // (function, key) of each ref certificate
-	var bases []string
-	for _, e := range entries {
-		base, ok := strings.CutSuffix(e.Name(), proof.CertsSuffix)
-		if !ok {
-			continue
-		}
-		bases = append(bases, base)
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, raw := range certValues(inflate(data)) {
-			var q proof.QueryCert
-			if json.Unmarshal(raw, &q) != nil || q.Key == "" {
-				continue
-			}
-			if q.Kind == proof.KindRef {
-				refs = append(refs, [2]string{base, q.Key})
-			} else if _, ok := owner[q.Key]; !ok {
-				owner[q.Key] = base
-			}
-		}
-	}
-	for _, r := range refs {
-		if fn := owner[r[1]]; fn != r[0] {
-			cited[fn] = true
-		}
-	}
+	// A ref resolves only inside its own function, so the rejection
+	// cannot spread: any certified function will do.
 	victim := ""
-	for _, base := range bases {
-		if _, err := os.Stat(filepath.Join(dir, base+proof.WitnessSuffix)); err == nil && !cited[base] {
+	for _, e := range entries {
+		if base, ok := strings.CutSuffix(e.Name(), proof.WitnessSuffix); ok {
 			victim = base
 			break
 		}
 	}
 	if victim == "" {
-		t.Fatal("every certified function is cited by another function's ref certificate")
+		t.Fatal("no function was certified")
 	}
 	segment := victim + proof.TermsSuffix
 	if err := os.Rename(filepath.Join(dir, segment), filepath.Join(dir, "TERMS.jsonl")); err != nil {
@@ -803,8 +772,9 @@ func TestRetiredSharedSegmentRejected(t *testing.T) {
 
 // TestCheckDirDeterministicAcrossWorkers checks a directory whose traces
 // are tampered in at least three functions, and whose ref certificates
-// resolve across functions, at GOMAXPROCS 1 and 4: the reports must be
-// deep-equal and proofcheck's rendered output byte-identical.
+// each resolve inside their own function, at GOMAXPROCS 1 and 4: the
+// reports must be deep-equal and proofcheck's rendered output
+// byte-identical.
 func TestCheckDirDeterministicAcrossWorkers(t *testing.T) {
 	goBin, err := exec.LookPath("go")
 	if err != nil {
@@ -812,35 +782,38 @@ func TestCheckDirDeterministicAcrossWorkers(t *testing.T) {
 	}
 	src, _ := emitProofDir(t)
 	dir := copyProofDir(t, src)
+	refs := 0
+	for base, qs := range dirCerts(t, dir) {
+		owned := map[string]bool{} // keys of this function's other certificates
+		for _, q := range qs {
+			if q.Kind != proof.KindRef {
+				owned[q.Key] = true
+			}
+		}
+		for _, q := range qs {
+			if q.Kind == proof.KindRef {
+				refs++
+				if !owned[q.Key] {
+					t.Errorf("%s/%s: ref to key %s, which only another function verifies", base, q.ID, q.Key)
+				}
+			}
+		}
+	}
+	if refs == 0 {
+		t.Fatal("no ref certificate: the check never resolves one")
+	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tampered := 0
-	owner := map[string]string{} // certificate key → function
-	var refs [][2]string         // (function, key) of each ref certificate
 	for _, e := range entries {
 		base, ok := strings.CutSuffix(e.Name(), proof.CertsSuffix)
 		if !ok {
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, raw := range certValues(inflate(data)) {
-			var q proof.QueryCert
-			if json.Unmarshal(raw, &q) != nil || q.Key == "" {
-				continue
-			}
-			if q.Kind == proof.KindRef {
-				refs = append(refs, [2]string{base, q.Key})
-			} else {
-				owner[q.Key] = base
-			}
-		}
 		path := filepath.Join(dir, base+proof.DratSuffix)
-		data, err = os.ReadFile(path)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			continue // no Unsat query went to SAT
 		}
@@ -867,15 +840,6 @@ func TestCheckDirDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if tampered < 3 {
 		t.Fatalf("tampered %d traces, want at least 3", tampered)
-	}
-	crossing := 0
-	for _, r := range refs {
-		if fn, ok := owner[r[1]]; ok && fn != r[0] {
-			crossing++
-		}
-	}
-	if crossing == 0 {
-		t.Fatal("no ref certificate resolves in another function")
 	}
 
 	prev := runtime.GOMAXPROCS(1)
@@ -908,5 +872,215 @@ func TestCheckDirDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if one, four := render("1"), render("4"); !bytes.Equal(one, four) {
 		t.Fatalf("proofcheck output differs:\nGOMAXPROCS=1:\n%s\nGOMAXPROCS=4:\n%s", one, four)
+	}
+}
+
+// dirCerts decodes every certs file in dir: base → query certificates
+// in file order.
+func dirCerts(t *testing.T, dir string) map[string][]proof.QueryCert {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	certs := map[string][]proof.QueryCert{}
+	for _, e := range entries {
+		base, ok := strings.CutSuffix(e.Name(), proof.CertsSuffix)
+		if !ok {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, raw := range certValues(inflate(data)) {
+			var q proof.QueryCert
+			if json.Unmarshal(raw, &q) == nil && q.ID != "" {
+				certs[base] = append(certs[base], q)
+			}
+		}
+	}
+	return certs
+}
+
+// readWitness decodes <base>.witness.json.
+func readWitness(t *testing.T, dir, base string) proof.WitnessFile {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, base+proof.WitnessSuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w proof.WitnessFile
+	if err := json.Unmarshal(inflate(data), &w); err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// TestCrossFunctionRefRejected forges a ref in function A to a key only
+// function B verifies, in place of an obligation certificate A's
+// witness cites. A ref resolves only inside its own function, so A's
+// ref and witness are rejected, the rejection names the ref, and B and
+// every other function stay certified.
+func TestCrossFunctionRefRejected(t *testing.T) {
+	src, _ := emitProofDir(t)
+	before, err := proof.CheckDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := copyProofDir(t, src)
+	certs := dirCerts(t, dir)
+	owners := map[string]map[string]bool{} // Unsat key → bases verifying it
+	for base, qs := range certs {
+		for _, q := range qs {
+			if q.Kind != proof.KindRef && q.Key != "" && q.Result == proof.ResUnsat {
+				if owners[q.Key] == nil {
+					owners[q.Key] = map[string]bool{}
+				}
+				owners[q.Key][base] = true
+			}
+		}
+	}
+	certified := map[string]bool{}
+	for _, fn := range before.Certified {
+		certified[proof.FileBase(fn)] = true
+	}
+	var a, b, key, qid string
+	for _, fn := range before.Certified {
+		base := proof.FileBase(fn)
+		w := readWitness(t, dir, base)
+		for _, cp := range w.Checked {
+			for _, pr := range cp.Pairs {
+				if pr.ObligQ != "" && qid == "" {
+					qid = pr.ObligQ
+				}
+			}
+		}
+		if qid != "" {
+			a = base
+			break
+		}
+	}
+	if a == "" {
+		t.Fatal("no certified function cites an obligation query")
+	}
+	for k, bases := range owners {
+		if len(bases) != 1 || bases[a] {
+			continue
+		}
+		for base := range bases {
+			if certified[base] && (key == "" || k < key) {
+				key, b = k, base
+			}
+		}
+	}
+	if key == "" {
+		t.Fatal("no Unsat key is verified by exactly one certified function other than " + a)
+	}
+
+	path := filepath.Join(dir, a+proof.CertsSuffix)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := certValues(inflate(data))
+	forged := false
+	for i, raw := range vals {
+		var q proof.QueryCert
+		if json.Unmarshal(raw, &q) != nil || q.ID != qid {
+			continue
+		}
+		out, err := json.Marshal(proof.QueryCert{ID: qid, Kind: proof.KindRef, Result: proof.ResUnsat, Key: key, Term: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals[i], forged = out, true
+	}
+	if !forged {
+		t.Fatalf("%s cites %s, which its certs file lacks", a, qid)
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for _, raw := range vals {
+		if err := enc.Encode(raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(path, deflate(t, buf.Bytes()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	after, err := proof.CheckDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := false
+	for _, r := range after.Rejections {
+		named = named || strings.Contains(r, "/"+qid+": ref to key "+key)
+	}
+	if !named {
+		t.Errorf("no rejection names the forged ref %s/%s: %q", a, qid, after.Rejections)
+	}
+	var others []string
+	bCertified := false
+	for _, fn := range before.Certified {
+		if proof.FileBase(fn) != a {
+			others = append(others, fn)
+		}
+	}
+	for _, fn := range after.Certified {
+		bCertified = bCertified || proof.FileBase(fn) == b
+	}
+	if !bCertified {
+		t.Errorf("%s, the function that verifies key %s, lost its certification: %v", b, key, after.Certified)
+	}
+	if !reflect.DeepEqual(after.Certified, others) {
+		t.Errorf("certified %v, want every function but %s: %v", after.Certified, a, others)
+	}
+}
+
+// TestWitnessMustMatchBase copies one certified function's witness over
+// another's: a witness is checked against the certificates at its own
+// base, so the copy is rejected and no function is certified twice.
+func TestWitnessMustMatchBase(t *testing.T) {
+	src, _ := emitProofDir(t)
+	before, err := proof.CheckDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(before.Certified) < 2 {
+		t.Fatalf("certified %d functions, want at least 2", len(before.Certified))
+	}
+	dir := copyProofDir(t, src)
+	from, to := proof.FileBase(before.Certified[0]), proof.FileBase(before.Certified[1])
+	data, err := os.ReadFile(filepath.Join(dir, from+proof.WitnessSuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, to+proof.WitnessSuffix), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	after, err := proof.CheckDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rejected := false
+	for _, r := range after.Rejections {
+		rejected = rejected || strings.HasPrefix(r, to+proof.WitnessSuffix+": ")
+	}
+	if !rejected {
+		t.Errorf("witness copied to %s was not rejected: %q", to, after.Rejections)
+	}
+	seen := map[string]bool{}
+	for _, fn := range after.Certified {
+		if seen[fn] {
+			t.Errorf("%s certified twice: %v", fn, after.Certified)
+		}
+		seen[fn] = true
+	}
+	want := append([]string{before.Certified[0]}, before.Certified[2:]...)
+	if !reflect.DeepEqual(after.Certified, want) {
+		t.Errorf("certified %v, want %v", after.Certified, want)
 	}
 }

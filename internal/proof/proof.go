@@ -44,11 +44,12 @@
 //   - "simplified": the verdict came from the term simplifier / array
 //     reducer before any CNF existed; recorded and counted separately —
 //     these remain inside the trust base (see DESIGN.md §6).
-//   - "ref":        the verdict came from the shared VC cache. The record
-//     names the canonical key of the original entry; the checker resolves
-//     it against the verified certificate with that key ("certified by
-//     reference") and rejects the run if none exists or the verdicts
-//     disagree. A cache hit is never silently certified.
+//   - "ref":        the verdict came from the solver's VC cache. The
+//     record names the canonical key of the original entry; the checker
+//     resolves it against the verified certificate with that key in the
+//     same function's certs file ("certified by reference") and rejects
+//     it if none exists there or the verdicts disagree. A cache hit is
+//     never silently certified.
 //
 // Cube-and-conquer verdicts need no certificate kind of their own. The
 // conquest runs in place on the query's own solver: each cube is solved
@@ -352,8 +353,9 @@ func (r *Recorder) RecordSimplified(t *term.Term, result string, key string) str
 	return r.addQuery(QueryCert{Kind: KindSimplified, Result: result, Key: key, Term: r.EncodeTerm(t)})
 }
 
-// RecordRef records a verdict answered by the shared VC cache,
-// certified by reference to the original entry's certificate.
+// RecordRef records a verdict answered by the solver's VC cache,
+// certified by reference to the original entry's certificate in the
+// same function.
 func (r *Recorder) RecordRef(key string, result string) string {
 	return r.addQuery(QueryCert{Kind: KindRef, Result: result, Key: key, Term: -1})
 }

@@ -222,8 +222,8 @@ func (r *Recorder) Close(certified bool) (int64, error) {
 	r.closed = true
 	r.keep(r.certs.close())
 	r.bytes = r.certs.cw.n
-	// Written even after an error, like the certs file: a ref certificate
-	// elsewhere may cite this function's model certificates.
+	// Written even after an error, like the certs file: the certificates
+	// already written resolve their terms here.
 	n, err := writeDeflated(filepath.Join(r.dir, FileBase(r.function))+TermsSuffix, r.rows.Bytes())
 	r.bytes += n
 	r.keep(err)

@@ -4,46 +4,65 @@ import (
 	"testing"
 )
 
+// negTheorem is the negation of (x+1)*(x-1) == x*x - 1 over a variable
+// named name: a theorem at any width, but not one the construction-time
+// simplifier can see, so the query reaches the SAT solver and comes back
+// Unsat.
+func negTheorem(c *Context, name string, width uint8) *Term {
+	x := c.VarBV(name, width)
+	one := c.BV(1, width)
+	lhs := c.Mul(c.Add(x, one), c.Sub(x, one))
+	rhs := c.Sub(c.Mul(x, x), one)
+	return c.Not(c.Eq(lhs, rhs))
+}
+
+// TestCachePutGetRoundtrip: a solver with its cache on stores the Sat and
+// Unsat verdicts it decides and serves both when the queries repeat.
 func TestCachePutGetRoundtrip(t *testing.T) {
 	c := NewContext()
-	cache := NewCache()
-	k1, _ := CanonicalHash(c.Eq(c.VarBV("x", 8), c.BV(1, 8)))
-	k2, _ := CanonicalHash(c.Eq(c.VarBV("y", 8), c.BV(2, 8)))
-
-	if _, ok := cache.Get(k1); ok {
-		t.Fatalf("empty cache reported a hit")
+	unsatQ := negTheorem(c, "x", 8)
+	satQ := c.Eq(c.Mul(c.VarBV("y", 8), c.BV(3, 8)), c.BV(9, 8))
+	s := NewSolver(c)
+	s.CacheResults = true
+	for _, want := range []struct {
+		f   *Term
+		res Result
+	}{{unsatQ, ResultUnsat}, {satQ, ResultSat}, {unsatQ, ResultUnsat}, {satQ, ResultSat}} {
+		res, _, err := s.CheckSat(want.f)
+		if err != nil || res != want.res {
+			t.Fatalf("CheckSat = (%v, %v), want %v", res, err, want.res)
+		}
 	}
-	cache.Put(k1, ResultUnsat)
-	cache.Put(k2, ResultSat)
-	if r, ok := cache.Get(k1); !ok || r != ResultUnsat {
-		t.Fatalf("Get(k1) = %v, %v; want Unsat hit", r, ok)
+	if s.Stats.CacheHits != 2 || s.Stats.CacheMisses != 2 {
+		t.Fatalf("hits=%d misses=%d, want 2 and 2", s.Stats.CacheHits, s.Stats.CacheMisses)
 	}
-	if r, ok := cache.Get(k2); !ok || r != ResultSat {
-		t.Fatalf("Get(k2) = %v, %v; want Sat hit", r, ok)
-	}
-	if cache.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", cache.Len())
+	if len(s.cache) != 2 {
+		t.Fatalf("cache holds %d entries, want 2", len(s.cache))
 	}
 }
 
+// TestCacheRejectsUnknownOnPut: remember drops Unknown verdicts, and a
+// solver with its cache off stores nothing at all.
 func TestCacheRejectsUnknownOnPut(t *testing.T) {
 	c := NewContext()
-	cache := NewCache()
 	k, _ := CanonicalHash(c.Eq(c.VarBV("x", 8), c.BV(1, 8)))
-	cache.Put(k, ResultUnknown)
-	if cache.Len() != 0 {
-		t.Fatalf("Put(Unknown) was stored; Len = %d", cache.Len())
+	s := NewSolver(c)
+	s.CacheResults = true
+	s.remember(k, ResultUnknown)
+	if len(s.cache) != 0 {
+		t.Fatalf("Unknown was stored; %d entries", len(s.cache))
 	}
-	if _, ok := cache.Get(k); ok {
-		t.Fatalf("Get returned a hit for an Unknown Put")
+	off := NewSolver(c)
+	off.remember(k, ResultUnsat)
+	if len(off.cache) != 0 {
+		t.Fatalf("solver with its cache off stored a verdict")
 	}
 }
 
 // TestCachePoisonedSentinel plants an Unknown entry directly into the
-// shard map — bypassing Put's filter — and proves both that Get refuses
-// to serve it and that a solver consulting the poisoned cache still
-// solves the query itself and reaches the correct verdict. No verdict
-// may ever come from an Unknown entry.
+// solver's cache and proves that the solver still solves the query
+// itself and reaches the correct verdict. No verdict may ever come from
+// an Unknown entry.
 func TestCachePoisonedSentinel(t *testing.T) {
 	c := NewContext()
 	x := c.VarBV("x", 8)
@@ -53,18 +72,9 @@ func TestCachePoisonedSentinel(t *testing.T) {
 	}
 	k, _ := CanonicalHash(f)
 
-	cache := NewCache()
-	sh := cache.shard(k)
-	sh.mu.Lock()
-	sh.m[k] = ResultUnknown // poison
-	sh.mu.Unlock()
-
-	if _, ok := cache.Get(k); ok {
-		t.Fatalf("Get served a poisoned Unknown entry")
-	}
-
 	s := NewSolver(c)
-	s.Cache = cache
+	s.CacheResults = true
+	s.cache = map[CanonKey]Result{k: ResultUnknown} // poison
 	res, _, err := s.CheckSat(f)
 	if err != nil {
 		t.Fatal(err)
@@ -79,63 +89,40 @@ func TestCachePoisonedSentinel(t *testing.T) {
 		t.Fatalf("CacheMisses = %d, want 1", s.Stats.CacheMisses)
 	}
 	// The real verdict must have overwritten the poison.
-	if r, ok := cache.Get(k); !ok || r != ResultUnsat {
-		t.Fatalf("solved verdict not stored over poison: %v, %v", r, ok)
+	if r := s.cache[k]; r != ResultUnsat {
+		t.Fatalf("solved verdict not stored over poison: %v", r)
 	}
 }
 
-// TestCacheCrossContextHit: two solvers over DIFFERENT contexts with
-// alpha-renamed variables share one cache; the second query is answered
-// without solving and the verdicts agree.
-func TestCacheCrossContextHit(t *testing.T) {
-	cache := NewCache()
-
-	// (x+1)*(x-1) == x*x - 1 is a theorem at any width, but not one the
-	// construction-time simplifier can see — its negation reaches the SAT
-	// solver and comes back Unsat.
-	mkNegTheorem := func(c *Context, name string) *Term {
-		x := c.VarBV(name, 8)
-		one := c.BV(1, 8)
-		lhs := c.Mul(c.Add(x, one), c.Sub(x, one))
-		rhs := c.Sub(c.Mul(x, x), one)
-		return c.Not(c.Eq(lhs, rhs))
+// TestCacheAlphaHitAcrossSyncPoints: the cache outlives ResetIncremental,
+// so a query alpha-equivalent to one decided at an earlier sync point of
+// the same function is answered without solving.
+func TestCacheAlphaHitAcrossSyncPoints(t *testing.T) {
+	c := NewContext()
+	s := NewSolver(c)
+	s.CacheResults = true
+	s.Incremental = true
+	res1, _, err := s.CheckSat(negTheorem(c, "x", 8))
+	if err != nil || res1 != ResultUnsat {
+		t.Fatalf("first solve = (%v, %v), want Unsat", res1, err)
+	}
+	if s.Stats.CacheMisses != 1 || s.Stats.CacheHits != 0 {
+		t.Fatalf("first solve stats: hits=%d misses=%d", s.Stats.CacheHits, s.Stats.CacheMisses)
 	}
 
-	c1 := NewContext()
-	f1 := mkNegTheorem(c1, "x")
-
-	s1 := NewSolver(c1)
-	s1.Cache = cache
-	res1, _, err := s1.CheckSat(f1)
-	if err != nil {
-		t.Fatal(err)
+	s.ResetIncremental() // the checker's move to the next sync point
+	before := s.Stats
+	res2, model, err := s.CheckSat(negTheorem(c, "vreg!0", 8))
+	if err != nil || res2 != ResultUnsat {
+		t.Fatalf("alpha-renamed solve = (%v, %v), want Unsat", res2, err)
 	}
-	if res1 != ResultUnsat {
-		t.Fatalf("first solve = %v, want Unsat", res1)
-	}
-	if s1.Stats.CacheMisses != 1 || s1.Stats.CacheHits != 0 {
-		t.Fatalf("first solve stats: hits=%d misses=%d", s1.Stats.CacheHits, s1.Stats.CacheMisses)
-	}
-
-	c2 := NewContext()
-	f2 := mkNegTheorem(c2, "vreg!0")
-
-	s2 := NewSolver(c2)
-	s2.Cache = cache
-	res2, model, err := s2.CheckSat(f2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2 != res1 {
-		t.Fatalf("cached verdict %v differs from solved verdict %v", res2, res1)
-	}
-	if s2.Stats.CacheHits != 1 || s2.Stats.CacheMisses != 0 {
-		t.Fatalf("second solve stats: hits=%d misses=%d", s2.Stats.CacheHits, s2.Stats.CacheMisses)
+	if s.Stats.CacheHits != 1 {
+		t.Fatalf("CacheHits = %d, want 1", s.Stats.CacheHits)
 	}
 	if model != nil {
 		t.Fatalf("Unsat hit returned a model")
 	}
-	if s2.Stats.SATConflicts != 0 && s2.Stats.CNFClauses != 0 {
+	if s.Stats.SATConflicts != before.SATConflicts || s.Stats.CNFClauses != before.CNFClauses {
 		t.Fatalf("cache hit still ran the SAT solver")
 	}
 }
@@ -144,13 +131,14 @@ func TestCacheCrossContextHit(t *testing.T) {
 // carries no model — callers that need counterexamples must solve
 // uncached, and the checker never reads models from cached paths.
 func TestCacheSatHitReturnsNilModel(t *testing.T) {
-	cache := NewCache()
-
-	c1 := NewContext()
-	f1 := c1.Eq(c1.Mul(c1.VarBV("x", 8), c1.BV(3, 8)), c1.BV(9, 8))
-	s1 := NewSolver(c1)
-	s1.Cache = cache
-	res1, model1, err := s1.CheckSat(f1)
+	c := NewContext()
+	s := NewSolver(c)
+	s.CacheResults = true
+	// Constants first: the simplifier orders commutative arguments by
+	// term age, so both queries must see them older than their variable.
+	three, nine := c.BV(3, 8), c.BV(9, 8)
+	f1 := c.Eq(c.Mul(c.VarBV("x", 8), three), nine)
+	res1, model1, err := s.CheckSat(f1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,11 +146,8 @@ func TestCacheSatHitReturnsNilModel(t *testing.T) {
 		t.Fatalf("first solve = %v model=%v, want Sat with model", res1, model1)
 	}
 
-	c2 := NewContext()
-	f2 := c2.Eq(c2.Mul(c2.VarBV("q", 8), c2.BV(3, 8)), c2.BV(9, 8))
-	s2 := NewSolver(c2)
-	s2.Cache = cache
-	res2, model2, err := s2.CheckSat(f2)
+	f2 := c.Eq(c.Mul(c.VarBV("q", 8), three), nine)
+	res2, model2, err := s.CheckSat(f2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +157,8 @@ func TestCacheSatHitReturnsNilModel(t *testing.T) {
 	if model2 != nil {
 		t.Fatalf("Sat cache hit returned a model; hits must return nil")
 	}
-	if s2.Stats.CacheHits != 1 {
-		t.Fatalf("CacheHits = %d, want 1", s2.Stats.CacheHits)
+	if s.Stats.CacheHits != 1 {
+		t.Fatalf("CacheHits = %d, want 1", s.Stats.CacheHits)
 	}
 }
 
@@ -181,65 +166,29 @@ func TestCacheSatHitReturnsNilModel(t *testing.T) {
 // yields Unknown and must leave no cache entry behind.
 func TestCacheUnknownResultNotCached(t *testing.T) {
 	c := NewContext()
-	// Negated 10-bit theorem (x+1)*(x-1) == x*x - 1: proving Unsat needs
-	// real search, far more than a 1-conflict budget allows.
-	x := c.VarBV("x", 10)
-	one := c.BV(1, 10)
-	f := c.Not(c.Eq(
-		c.Mul(c.Add(x, one), c.Sub(x, one)),
-		c.Sub(c.Mul(x, x), one),
-	))
-
-	cache := NewCache()
+	// Proving the 10-bit theorem needs real search, far more than a
+	// 1-conflict budget allows.
+	f := negTheorem(c, "x", 10)
 	s := NewSolver(c)
-	s.Cache = cache
+	s.CacheResults = true
 	s.ConflictBudget = 1
 	res, _, err := s.CheckSat(f)
 	if res != ResultUnknown || err == nil {
 		t.Skipf("query decided within 1 conflict (res=%v); cannot exercise Unknown path", res)
 	}
-	if cache.Len() != 0 {
-		t.Fatalf("Unknown result was cached; Len = %d", cache.Len())
+	if len(s.cache) != 0 {
+		t.Fatalf("Unknown result was cached; %d entries", len(s.cache))
 	}
-	// A fresh unbudgeted solver must still be able to decide and cache it.
-	s2 := NewSolver(c)
-	s2.Cache = cache
-	res2, _, err := s2.CheckSat(f)
+	// Without the budget the same solver decides the query and caches it.
+	s.ConflictBudget = 0
+	res2, _, err := s.CheckSat(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res2 == ResultUnknown {
 		t.Fatalf("unbudgeted solve still Unknown")
 	}
-	if cache.Len() != 1 {
-		t.Fatalf("decided verdict not cached; Len = %d", cache.Len())
-	}
-}
-
-func TestCacheConcurrentAccess(t *testing.T) {
-	cache := NewCache()
-	c := NewContext()
-	keys := make([]CanonKey, 256)
-	for i := range keys {
-		keys[i], _ = CanonicalHash(c.Eq(c.VarBV("x", 16), c.BV(uint64(i), 16)))
-	}
-	done := make(chan struct{})
-	for w := 0; w < 8; w++ {
-		go func(w int) {
-			defer func() { done <- struct{}{} }()
-			for i, k := range keys {
-				if (i+w)%2 == 0 {
-					cache.Put(k, ResultUnsat)
-				} else {
-					cache.Get(k)
-				}
-			}
-		}(w)
-	}
-	for w := 0; w < 8; w++ {
-		<-done
-	}
-	if cache.Len() == 0 {
-		t.Fatalf("no entries after concurrent writes")
+	if len(s.cache) != 1 {
+		t.Fatalf("decided verdict not cached; %d entries", len(s.cache))
 	}
 }

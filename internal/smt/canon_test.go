@@ -142,7 +142,6 @@ func TestCanonicalHashStableAcrossCalls(t *testing.T) {
 		t.Fatalf("CanonicalHash not deterministic: %x/%d vs %x/%d", k1, n1, k2, n2)
 	}
 	s := NewSolver(c)
-	s.Cache = NewCache()
 	if got := s.canonKey(f); got != k1 {
 		t.Fatalf("solver memoized key differs from direct hash")
 	}

@@ -265,39 +265,37 @@ func TestBudgetVsDeadlineAttribution(t *testing.T) {
 }
 
 // TestCacheHitServedPastDeadline: an expired deadline gates solving, not
-// answering. A shared-cache hit costs nothing, so it must be served (and
+// answering. A cache hit costs nothing, so it must be served (and
 // certified by reference) even when the per-function budget is gone.
 func TestCacheHitServedPastDeadline(t *testing.T) {
 	ctx := NewContext()
-	cache := NewCache()
 	x := ctx.VarBV("x", 8)
 	y := ctx.VarBV("y", 8)
 	satQ := ctx.Eq(ctx.Add(x, y), ctx.BV(5, 8))
 	unsatQ := distinctUnder(ctx, "z", 4, 2, 3)
 
-	warm := NewSolver(ctx)
-	warm.Cache = cache
-	if res, _, err := warm.CheckSat(satQ); err != nil || res != ResultSat {
+	s := NewSolver(ctx)
+	s.CacheResults = true
+	if res, _, err := s.CheckSat(satQ); err != nil || res != ResultSat {
 		t.Fatalf("warm sat query: (%v, %v)", res, err)
 	}
-	if res, _, err := warm.CheckSat(unsatQ); err != nil || res != ResultUnsat {
+	if res, _, err := s.CheckSat(unsatQ); err != nil || res != ResultUnsat {
 		t.Fatalf("warm unsat query: (%v, %v)", res, err)
 	}
 
-	late := NewSolver(ctx)
-	late.Cache = cache
-	late.Deadline = time.Now().Add(-time.Hour)
-	if res, _, err := late.CheckSat(satQ); err != nil || res != ResultSat {
+	s.Deadline = time.Now().Add(-time.Hour)
+	if res, _, err := s.CheckSat(satQ); err != nil || res != ResultSat {
 		t.Fatalf("cached sat query past deadline: (%v, %v), want (Sat, nil)", res, err)
 	}
-	if res, _, err := late.CheckSat(unsatQ); err != nil || res != ResultUnsat {
+	if res, _, err := s.CheckSat(unsatQ); err != nil || res != ResultUnsat {
 		t.Fatalf("cached unsat query past deadline: (%v, %v), want (Unsat, nil)", res, err)
 	}
-	if late.Stats.CacheHits != 2 {
-		t.Fatalf("cache hits = %d, want 2", late.Stats.CacheHits)
+	if s.Stats.CacheHits != 2 {
+		t.Fatalf("cache hits = %d, want 2", s.Stats.CacheHits)
 	}
-	// An uncached query still hits the deadline gate.
-	if res, _, err := late.CheckSat(ctx.Eq(x, ctx.BV(1, 8))); res != ResultUnknown || err != ErrDeadline {
+	// An uncached query still hits the deadline gate. It is Unsat, so no
+	// kept model can answer it either.
+	if res, _, err := s.CheckSat(distinctUnder(ctx, "w", 5, 2, 3)); res != ResultUnknown || err != ErrDeadline {
 		t.Fatalf("uncached query past deadline: (%v, %v), want (Unknown, ErrDeadline)", res, err)
 	}
 }

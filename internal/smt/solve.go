@@ -34,7 +34,9 @@ func (r Result) String() string {
 }
 
 // Solver decides QF_ABV formulas built in a Context. The zero value is not
-// usable; use NewSolver.
+// usable; use NewSolver. A solver serves one function validation and is
+// used by one goroutine: its VC cache, kept models and key memo are its
+// own, so no two validations share solver state.
 type Solver struct {
 	ctx *Context
 
@@ -64,13 +66,15 @@ type Solver struct {
 	// point's. When false, every query gets a fresh instance (the cold-SMT
 	// ablation).
 	Incremental bool
-	// Cache, when non-nil, is consulted before solving and updated after:
-	// queries are keyed by their alpha-invariant CanonKey, so structurally
-	// identical obligations — from another function, another worker, or an
-	// earlier query of this solver — are answered without touching the SAT
-	// layer. A Sat hit returns a nil model (the cache stores verdicts
-	// only); callers that need counterexample models must run uncached.
-	Cache *Cache
+	// CacheResults makes the solver remember every decided verdict under
+	// the query's alpha-invariant CanonKey and answer a structurally
+	// identical later query without touching the SAT layer. The cache is
+	// the solver's own, so it lives as long as the solver (one function
+	// validation) and survives ResetIncremental: alpha-equivalent queries
+	// recur across sync points. A Sat hit returns a nil model (the cache
+	// stores verdicts only); callers that need counterexample models must
+	// run uncached.
+	CacheResults bool
 	// Portfolio, when non-nil, runs queries that outlive the probe budget
 	// up the probe → cube escalation ladder with its budgets (the zero
 	// value takes the defaults). See portfolio.go.
@@ -108,6 +112,10 @@ type Solver struct {
 	// surfaced as the span attribute sat_vars.
 	queryVars int
 	canonMemo map[*Term]CanonKey
+	// cache maps the key of every decided query to its verdict, Sat or
+	// Unsat only: Unknown depends on the budget left when it was asked.
+	// Allocated on first store.
+	cache map[CanonKey]Result
 	// models holds the models of the latest keptModels solved Sat
 	// queries, newest last; see reuseModel.
 	models []*Assign
@@ -195,18 +203,15 @@ func (s *Solver) CheckSat(f *Term) (res Result, model *Assign, err error) {
 	// address, so compute it when either consumer is present.
 	var key CanonKey
 	var keyHex string
-	if s.Cache != nil || s.Recorder != nil {
+	if s.CacheResults || s.Recorder != nil {
 		key = s.canonKey(f)
 		keyHex = key.Hex()
 	}
-	if s.Cache != nil {
-		if r, ok := s.Cache.Get(key); ok {
+	if s.CacheResults {
+		if r, ok := s.cache[key]; ok && r != ResultUnknown {
 			s.Stats.CacheHits++
 			s.recordRef(keyHex, r.String())
-			if r == ResultUnsat {
-				return ResultUnsat, nil, nil
-			}
-			return ResultSat, nil, nil
+			return r, nil, nil
 		}
 		s.Stats.CacheMisses++
 	}
@@ -216,9 +221,7 @@ func (s *Solver) CheckSat(f *Term) (res Result, model *Assign, err error) {
 	if m := s.reuseModel(f); m != nil {
 		s.Stats.ModelHits++
 		s.recordModel(f, m, keyHex)
-		if s.Cache != nil {
-			s.Cache.Put(key, ResultSat)
-		}
+		s.remember(key, ResultSat)
 		return ResultSat, m, nil
 	}
 	// The deadline gates solving only, and deliberately after the fast
@@ -232,10 +235,22 @@ func (s *Solver) CheckSat(f *Term) (res Result, model *Assign, err error) {
 	if res == ResultSat {
 		s.keepModel(model)
 	}
-	if s.Cache != nil && err == nil {
-		s.Cache.Put(key, res) // Put drops anything but Sat/Unsat
+	if err == nil {
+		s.remember(key, res)
 	}
 	return res, model, err
+}
+
+// remember stores a decided verdict in the solver's VC cache when it is
+// on. Unknown is never stored.
+func (s *Solver) remember(key CanonKey, r Result) {
+	if !s.CacheResults || r == ResultUnknown {
+		return
+	}
+	if s.cache == nil {
+		s.cache = make(map[CanonKey]Result)
+	}
+	s.cache[key] = r
 }
 
 // reuseModel returns the newest kept model under which f evaluates to

@@ -14,7 +14,7 @@ import (
 type Stats struct {
 	Queries       int64
 	FastQueries   int64 // decided by simplification alone, no SAT call
-	CacheHits     int64 // decided by the shared VC cache, no SAT call
+	CacheHits     int64 // decided by the solver's VC cache, no SAT call
 	CacheMisses   int64 // cache consulted but the query had to be solved
 	ModelHits     int64 // decided Sat by a recent query's model, no SAT call
 	CacheBytes    int64 // canonical serialization bytes hashed for cache keys

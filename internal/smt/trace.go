@@ -29,7 +29,7 @@ func (s *Solver) finishQuery(sp *telemetry.Span, start time.Time, before Stats, 
 	if s.queryVars > 0 {
 		sp.SetAttr("sat_vars", s.queryVars)
 	}
-	if s.Cache != nil {
+	if s.CacheResults {
 		sp.SetAttr("cache_hit", s.Stats.CacheHits > before.CacheHits)
 	}
 	if s.Stats.FastQueries > before.FastQueries {

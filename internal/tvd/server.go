@@ -11,12 +11,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/harness"
 	"repro/internal/isel"
 	"repro/internal/proof"
-	"repro/internal/smt"
 	"repro/internal/store"
 	"repro/internal/telemetry"
 	"repro/internal/tv"
@@ -439,13 +437,9 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 		}
 		pending[i] = pj
 		s.pool.Submit(harness.Job{
-			Fn:    corpus.Function{Name: req.Jobs[i].Fn, Src: req.Jobs[i].IR},
-			Index: i,
-			ISel:  isel.Options{MergeStores: req.Jobs[i].MergeStores},
-			// A fresh per-job VC cache keeps ref certificates resolvable
-			// within the job's own artifact set — the property that makes
-			// a store entry independently checkable (proofcheck -store).
-			Checker:  core.Options{VCCache: smt.NewCache()},
+			Fn:       corpus.Function{Name: req.Jobs[i].Fn, Src: req.Jobs[i].IR},
+			Index:    i,
+			ISel:     isel.Options{MergeStores: req.Jobs[i].MergeStores},
 			Budget:   budget,
 			ProofDir: pj.dir,
 			Tracer:   tracer,

@@ -390,10 +390,10 @@ func TestJobKey(t *testing.T) {
 }
 
 // TestDaemonArtifactsMatchLocalRun: the daemon and a batch run write one
-// certificate layout. Each function's artifacts as the daemon returns
-// them (a fresh per-job VC cache, no wall budget) must equal, file by
-// file and byte by byte, the files a single-function harness.Run writes
-// for it.
+// certificate layout and run one VC cache scope. Each function's
+// artifacts as the daemon returns them (no wall budget) must equal, file
+// by file and byte by byte, the files one harness.Run over all the
+// functions writes for it.
 func TestDaemonArtifactsMatchLocalRun(t *testing.T) {
 	fns := testCorpus(3)
 	s, hs := newTestServer(t, ServerConfig{Workers: 1, WorkDir: t.TempDir()})
@@ -402,38 +402,38 @@ func TestDaemonArtifactsMatchLocalRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	traces := 0
-	for i, f := range fns {
-		dir := t.TempDir()
-		sum := harness.Run(harness.Config{
-			Functions: []corpus.Function{f},
-			Budget:    tv.Budget{MaxTermNodes: testMaxTermNodes},
-			Workers:   1,
-			ProofDir:  dir,
-		})
-		if sum.ProofErr != nil {
-			t.Fatal(sum.ProofErr)
+	// One batch run with the VC cache on: each function's solver owns its
+	// cache, so sharing a run with other functions changes none of its
+	// artifacts.
+	dir := t.TempDir()
+	sum := harness.Run(harness.Config{
+		Functions: fns,
+		Budget:    tv.Budget{MaxTermNodes: testMaxTermNodes},
+		Workers:   2,
+		ProofDir:  dir,
+	})
+	if sum.ProofErr != nil {
+		t.Fatal(sum.ProofErr)
+	}
+	local := map[string][]byte{}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() == proof.ManifestName {
+			continue
 		}
-		local := map[string][]byte{}
-		entries, err := os.ReadDir(dir)
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range entries {
-			if e.Name() == proof.ManifestName {
-				continue
-			}
-			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			local[e.Name()] = data
-		}
-		row := res.Rows[i]
-		if len(row.Artifacts) != len(local) {
-			t.Errorf("%s: daemon returned %d artifacts, local run wrote %d files", f.Name, len(row.Artifacts), len(local))
-		}
-		for _, a := range row.Artifacts {
+		local[e.Name()] = data
+	}
+	traces, served := 0, 0
+	for i, f := range fns {
+		for _, a := range res.Rows[i].Artifacts {
+			served++
 			if strings.HasSuffix(a.Name, proof.DratSuffix) {
 				traces++
 			}
@@ -441,6 +441,9 @@ func TestDaemonArtifactsMatchLocalRun(t *testing.T) {
 				t.Errorf("%s: daemon artifact %s differs from the local run's file (present %t)", f.Name, a.Name, ok)
 			}
 		}
+	}
+	if served != len(local) {
+		t.Errorf("daemon returned %d artifacts, local run wrote %d files", served, len(local))
 	}
 	if traces == 0 {
 		t.Fatal("no function produced a DRAT trace: the comparison misses the trace files")
