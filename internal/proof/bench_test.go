@@ -38,6 +38,7 @@ func BenchmarkSessionChecker(b *testing.B) {
 	for _, cp := range dratFinals(b, strings.TrimSuffix(largest, proof.DratSuffix)+proof.CertsSuffix) {
 		due[[2]int{cp.sess, cp.pos}] = append(due[[2]int{cp.sess, cp.pos}], cp)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		checkers := map[int]*proof.SessionChecker{}
@@ -80,6 +81,7 @@ func BenchmarkSessionChecker(b *testing.B) {
 // BenchmarkCheckDir verifies a small certified corpus run end to end.
 func BenchmarkCheckDir(b *testing.B) {
 	dir, _ := emitProofDir(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		report, err := proof.CheckDir(dir)

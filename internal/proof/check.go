@@ -344,6 +344,48 @@ func loadTermSegmentFile(dir, name string, report *CheckReport) *termLoader {
 	return newTermLoader(nodes)
 }
 
+// modelEvals shares one evaluator per distinct recorded model within a
+// function's certs file. Most model certificates cite one of the few
+// models the solver keeps for reuse, so each term node is evaluated once
+// per model rather than once per certificate. It keeps the evaluators of
+// the last maxModelEvals distinct models, so memory stays a few memos
+// however many models a crafted file records.
+type modelEvals struct {
+	byKey map[string]*term.Evaluator
+	order []string // keys of byKey, oldest first
+}
+
+const maxModelEvals = 8
+
+// evaluator returns the evaluator under m, building it on first sight.
+// Models are keyed by their JSON encoding, whose entries the writer
+// sorts.
+func (e *modelEvals) evaluator(m *Model) (*term.Evaluator, error) {
+	b, err := json.Marshal(m)
+	if err != nil {
+		return nil, err
+	}
+	key := string(b)
+	if ev, ok := e.byKey[key]; ok {
+		return ev, nil
+	}
+	a, err := AssignFromModel(m)
+	if err != nil {
+		return nil, err
+	}
+	if e.byKey == nil {
+		e.byKey = make(map[string]*term.Evaluator)
+	}
+	if len(e.order) == maxModelEvals {
+		delete(e.byKey, e.order[0])
+		e.order = e.order[1:]
+	}
+	ev := term.NewEvaluator(a)
+	e.byKey[key] = ev
+	e.order = append(e.order, key)
+	return ev, nil
+}
+
 // verifyQueryKind performs the trace-independent verification of one
 // query certificate: trivial and simplified certificates re-read the
 // decoded term, model certificates re-evaluate the recorded assignment,
@@ -351,7 +393,7 @@ func loadTermSegmentFile(dir, name string, report *CheckReport) *termLoader {
 // certificates are verified. It returns true when the
 // certificate is a DRAT obligation the caller must discharge against
 // the session trace.
-func verifyQueryKind(fc *fnCerts, cs *certStatus, termOf func(*certStatus) *term.Term, report *CheckReport) bool {
+func verifyQueryKind(fc *fnCerts, cs *certStatus, termOf func(*certStatus) *term.Term, models *modelEvals, report *CheckReport) bool {
 	if cs.Result != ResSat && cs.Result != ResUnsat {
 		report.reject("%s/%s: bad result %q", fc.name, cs.ID, cs.Result)
 		return false
@@ -393,12 +435,12 @@ func verifyQueryKind(fc *fnCerts, cs *certStatus, termOf func(*certStatus) *term
 			report.reject("%s/%s: model certificate without model", fc.name, cs.ID)
 			return false
 		}
-		a, err := AssignFromModel(cs.Model)
+		ev, err := models.evaluator(cs.Model)
 		if err != nil {
 			report.reject("%s/%s: %v", fc.name, cs.ID, err)
 			return false
 		}
-		v, err := a.EvalBool(t)
+		v, err := ev.EvalBool(t)
 		if err != nil {
 			report.reject("%s/%s: model evaluation failed: %v", fc.name, cs.ID, err)
 			return false
@@ -481,6 +523,7 @@ func checkFunctionCerts(dir, base string, loader *termLoader, report *CheckRepor
 		return t
 	}
 	bySess := map[int][]dratCheckpoint{}
+	var models modelEvals
 	for {
 		var v certValue
 		err := dec.Decode(&v)
@@ -500,7 +543,7 @@ func checkFunctionCerts(dir, base string, loader *termLoader, report *CheckRepor
 			continue
 		}
 		fc.byID[cs.ID] = cs
-		if verifyQueryKind(fc, cs, termOf, report) {
+		if verifyQueryKind(fc, cs, termOf, &models, report) {
 			if cs.Sess < 0 {
 				report.reject("%s/%s: session %d not in trace", fc.name, cs.ID, cs.Sess)
 				continue

@@ -343,3 +343,53 @@ func FuzzInflate(f *testing.F) {
 		}
 	})
 }
+
+// TestModelCertificatesEvaluateOncePerModel: K model certificates whose
+// roots sit ever deeper along one N-node chain, each root cited under
+// two alternating models, evaluate each node once per distinct model, so checking them
+// costs O(N) per model rather than O(K·N). A certs file with more
+// distinct models than the checker keeps evaluators for still verifies.
+func TestModelCertificatesEvaluateOncePerModel(t *testing.T) {
+	const n, k = 2000, 200
+	ctx := term.NewContext()
+	chain := []*term.Term{ctx.VarBV("x", 8)}
+	for i := 0; i < n; i++ {
+		chain = append(chain, ctx.Raw(term.KNot, 8, 0, "", 0, 0, chain[i]))
+	}
+	roots := make([]*term.Term, k)
+	for i := range roots {
+		c := chain[(i+1)*n/k]
+		roots[i] = ctx.Raw(term.KEq, 0, 0, "", 0, 0, c, c)
+	}
+	termOf := func(cs *certStatus) *term.Term { return roots[cs.Term] }
+	fc := &fnCerts{name: "f", byID: map[string]*certStatus{}}
+	report := &CheckReport{ByKind: map[string]int{}}
+	verify := func(evals *modelEvals, i, root int, x uint64) {
+		// Each certificate decodes its own copy of the model.
+		m := &Model{BV: []BVAssign{{Name: "x", Val: strconv.FormatUint(x, 10)}}}
+		cs := &certStatus{QueryCert: QueryCert{ID: strconv.Itoa(i), Kind: KindModel, Result: ResSat, Term: root, Model: m}}
+		verifyQueryKind(fc, cs, termOf, evals, report)
+		if !cs.verified {
+			t.Fatalf("certificate %d not verified: %v", i, report.Rejections)
+		}
+	}
+	var evals modelEvals
+	for i := 0; i < 2*k; i++ {
+		verify(&evals, i, i/2, []uint64{7, 200}[i%2])
+	}
+	evaluated := 0
+	for _, ev := range evals.byKey {
+		evaluated += ev.Evaluated()
+	}
+	// The variable, the n chain nodes and the k roots, under each model.
+	if want := 2 * (1 + n + k); len(evals.byKey) != 2 || evaluated != want {
+		t.Fatalf("%d evaluators evaluated %d nodes, want 2 evaluating %d", len(evals.byKey), evaluated, want)
+	}
+	var many modelEvals
+	for i := 0; i < 3*maxModelEvals; i++ {
+		verify(&many, 2*k+i, i, uint64(i))
+	}
+	if len(many.byKey) != maxModelEvals || len(many.order) != maxModelEvals {
+		t.Fatalf("%d distinct models kept %d evaluators, want %d", 3*maxModelEvals, len(many.byKey), maxModelEvals)
+	}
+}

@@ -68,6 +68,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/term"
 )
@@ -421,8 +422,8 @@ func ModelFromAssign(a *term.Assign) *Model {
 func AssignFromModel(m *Model) (*term.Assign, error) {
 	a := term.NewAssign()
 	for _, e := range m.BV {
-		var v uint64
-		if _, err := fmt.Sscanf(e.Val, "%d", &v); err != nil {
+		v, err := strconv.ParseUint(e.Val, 10, 64)
+		if err != nil {
 			return nil, fmt.Errorf("proof: bad bv value %q for %s: %v", e.Val, e.Name, err)
 		}
 		a.BV[e.Name] = v
@@ -433,8 +434,8 @@ func AssignFromModel(m *Model) (*term.Assign, error) {
 	for _, e := range m.Mem {
 		bytes := make(map[uint64]uint8, len(e.Bytes))
 		for _, b := range e.Bytes {
-			var addr uint64
-			if _, err := fmt.Sscanf(b.Addr, "%d", &addr); err != nil {
+			addr, err := strconv.ParseUint(b.Addr, 10, 64)
+			if err != nil {
 				return nil, fmt.Errorf("proof: bad mem address %q in %s: %v", b.Addr, e.Base, err)
 			}
 			bytes[addr] = b.Val

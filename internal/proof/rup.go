@@ -3,6 +3,7 @@ package proof
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // SessionChecker replays one SAT session trace forward, verifying every
@@ -18,39 +19,87 @@ import (
 // lemmas, so they are kept (exactly as DRAT checkers do).
 //
 // Layout (after drat-trim): clauses live in one flat arena, watchers
-// carry a blocker literal tested before the clause is read, and strict
-// deletion matches by a commutative hash confirmed literal by literal.
-// Variables are renumbered densely on first sight, so memory grows with
-// the trace, never with the magnitude of a variable index.
+// carry a blocker literal tested before the clause is read, and a
+// binary clause's watchers are marked so that their blocker, the other
+// literal, decides without reading the clause at all. Strict deletion
+// matches by a commutative hash confirmed literal by literal. Variables
+// are renumbered densely on first sight, through a slice while the
+// index stays under a bound set by the variables seen so far and
+// through a map above it, so memory grows with the trace, never with
+// the magnitude of a variable index.
 type SessionChecker struct {
-	dense map[int32]int32 // DIMACS variable → dense index
-	val   []int8          // by internal literal: 1 true, -1 false, 0 unassigned
-	mark  []bool          // by internal literal: in the clause just interned
-	trail []int32
-	qhead int
+	dense  []int32         // DIMACS variable → dense index + 1 (0: unseen), below denseBound
+	sparse map[int32]int32 // DIMACS variable → dense index, for the rest
+	val    []int8          // by internal literal: 1 true, -1 false, 0 unassigned
+	mark   []bool          // by internal literal: in the clause just interned
+	trail  []int32
+	qhead  int
 
 	// arena holds each installed clause as a header word (len<<1 |
 	// deleted) followed by its internal literals; a clause is named by
 	// the offset of its header.
 	arena   []int32
-	watches [][]watcher        // by literal p: clauses watching ¬p
-	byHash  map[uint64][]int32 // clause hash → offsets of live clauses
-	lits    []int32            // the clause just interned
+	watches [][]watcher // by literal p: clauses watching ¬p
+	// byHash names one live clause per clause hash; the others with that
+	// hash, oldest first, sit in collide, which only duplicate clauses and
+	// true hash collisions reach. Neither allocates per clause.
+	byHash  map[uint64]int32
+	collide map[uint64][]int32
+	lits    []int32 // the clause just interned
 
 	rootConflict bool
 	rootTrail    int // length of the persistent prefix of trail
 }
 
 // watcher is one watch of a clause. blocker is a literal of the clause:
-// while it is true the clause is satisfied and is not read.
+// while it is true the clause is satisfied and is not read. A binary
+// clause's watchers hold ^offset (negative) in cref and the other
+// literal as blocker, which then alone decides keep, unit or conflict.
 type watcher struct{ cref, blocker int32 }
+
+// denseBound is the DIMACS variable index, exclusive, up to which the
+// dense slice may grow once vars variables are known: a constant factor
+// over the trace so far, so a forged index costs a map entry, never
+// memory proportional to its magnitude.
+func denseBound(vars int) int { return 4*vars + 4096 }
 
 // maxArena bounds a session's arena so offsets and headers fit int32.
 const maxArena = math.MaxInt32 / 2
 
 // NewSessionChecker returns an empty checker.
 func NewSessionChecker() *SessionChecker {
-	return &SessionChecker{dense: make(map[int32]int32), byHash: make(map[uint64][]int32)}
+	return &SessionChecker{byHash: make(map[uint64]int32)}
+}
+
+// varIndex returns the dense index of DIMACS variable v (v > 0),
+// assigning the next one on first sight.
+func (c *SessionChecker) varIndex(v int32) int32 {
+	if int(v) < len(c.dense) {
+		if x := c.dense[v]; x != 0 {
+			return x - 1
+		}
+	}
+	// An index first seen above the bound stays in sparse even after the
+	// slice has grown past it.
+	if x, ok := c.sparse[v]; ok {
+		return x
+	}
+	x := int32(len(c.val) / 2)
+	c.val = append(c.val, 0, 0)
+	c.mark = append(c.mark, false, false)
+	c.watches = append(c.watches, nil, nil)
+	if bound := denseBound(int(x)); int(v) < bound {
+		if int(v) >= len(c.dense) { // append grows the capacity geometrically
+			c.dense = append(c.dense, make([]int32, int(v)+1-len(c.dense))...)
+		}
+		c.dense[v] = x + 1
+	} else {
+		if c.sparse == nil {
+			c.sparse = make(map[int32]int32)
+		}
+		c.sparse[v] = x
+	}
+	return x
 }
 
 // intern maps a DIMACS clause into c.lits as internal literals (2*dense
@@ -67,15 +116,7 @@ func (c *SessionChecker) intern(dimacs []int32) error {
 		if v < 0 {
 			v, neg = -v, 1
 		}
-		x, ok := c.dense[v]
-		if !ok {
-			x = int32(len(c.val) / 2)
-			c.dense[v] = x
-			c.val = append(c.val, 0, 0)
-			c.mark = append(c.mark, false, false)
-			c.watches = append(c.watches, nil, nil)
-		}
-		if l := x<<1 | neg; !c.mark[l] {
+		if l := c.varIndex(v)<<1 | neg; !c.mark[l] {
 			c.mark[l] = true
 			c.lits = append(c.lits, l)
 		}
@@ -109,9 +150,22 @@ func (c *SessionChecker) propagate() bool {
 		for i < len(ws) {
 			w := ws[i]
 			i++
-			if c.val[w.blocker] == 1 {
+			b := c.val[w.blocker]
+			if b == 1 {
 				ws[j] = w
 				j++
+				continue
+			}
+			if w.cref < 0 { // binary: the blocker is the other literal
+				ws[j] = w
+				j++
+				if b == -1 {
+					j += copy(ws[j:], ws[i:])
+					c.watches[p] = ws[:j]
+					c.qhead = len(c.trail)
+					return true
+				}
+				c.enqueue(w.blocker)
 				continue
 			}
 			hdr := c.arena[w.cref]
@@ -200,26 +254,64 @@ func (c *SessionChecker) AddLearnt(dimacs []int32) error {
 }
 
 // Delete removes a clause from the live set. The clause must be present
-// (strict matching catches tampered traces).
+// (strict matching catches tampered traces). Among equal live clauses
+// the latest installed goes first.
 func (c *SessionChecker) Delete(dimacs []int32) error {
 	if err := c.intern(dimacs); err != nil {
 		return err
 	}
 	defer c.unmark()
 	h := clauseHash(c.lits)
-	refs := c.byHash[h]
-	for i := len(refs) - 1; i >= 0; i-- {
-		if c.sameAsMarked(refs[i]) {
-			c.arena[refs[i]] |= 1
-			if len(refs) == 1 {
-				delete(c.byHash, h)
+	first, ok := c.byHash[h]
+	if !ok {
+		return fmt.Errorf("proof: delete of absent clause %v", dimacs)
+	}
+	more := c.collide[h]
+	for i := len(more) - 1; i >= 0; i-- {
+		if c.sameAsMarked(more[i]) {
+			c.remove(more[i])
+			if len(more) == 1 {
+				delete(c.collide, h)
 			} else {
-				c.byHash[h] = append(refs[:i], refs[i+1:]...)
+				c.collide[h] = append(more[:i], more[i+1:]...)
 			}
 			return nil
 		}
 	}
-	return fmt.Errorf("proof: delete of absent clause %v", dimacs)
+	if !c.sameAsMarked(first) {
+		return fmt.Errorf("proof: delete of absent clause %v", dimacs)
+	}
+	c.remove(first)
+	switch len(more) {
+	case 0:
+		delete(c.byHash, h)
+	case 1:
+		c.byHash[h] = more[0]
+		delete(c.collide, h)
+	default:
+		c.byHash[h] = more[0]
+		c.collide[h] = more[1:]
+	}
+	return nil
+}
+
+// remove marks clause cref deleted. Long clauses lose their watchers
+// lazily, when propagation next visits them; a binary clause's watchers
+// never read the clause, so they are unhooked here.
+func (c *SessionChecker) remove(cref int32) {
+	c.arena[cref] |= 1
+	if c.arena[cref]>>1 != 2 {
+		return
+	}
+	a, b := c.arena[cref+1], c.arena[cref+2]
+	c.unwatch(a^1, watcher{^cref, b})
+	c.unwatch(b^1, watcher{^cref, a})
+}
+
+func (c *SessionChecker) unwatch(p int32, w watcher) {
+	if i := slices.Index(c.watches[p], w); i >= 0 {
+		c.watches[p] = slices.Delete(c.watches[p], i, i+1)
+	}
 }
 
 // sameAsMarked reports whether clause cref holds exactly the marked
@@ -289,7 +381,14 @@ func (c *SessionChecker) install(lits []int32) error {
 	cref := int32(len(c.arena))
 	c.arena = append(append(c.arena, int32(len(lits))<<1), lits...)
 	h := clauseHash(lits)
-	c.byHash[h] = append(c.byHash[h], cref)
+	if _, dup := c.byHash[h]; !dup {
+		c.byHash[h] = cref
+	} else {
+		if c.collide == nil {
+			c.collide = make(map[uint64][]int32)
+		}
+		c.collide[h] = append(c.collide[h], cref)
+	}
 	if c.rootConflict {
 		return nil
 	}
@@ -316,8 +415,12 @@ func (c *SessionChecker) install(lits []int32) error {
 		}
 		c.rootTrail = len(c.trail)
 	default:
-		c.watches[cl[0]^1] = append(c.watches[cl[0]^1], watcher{cref, cl[1]})
-		c.watches[cl[1]^1] = append(c.watches[cl[1]^1], watcher{cref, cl[0]})
+		w := cref
+		if len(lits) == 2 {
+			w = ^cref
+		}
+		c.watches[cl[0]^1] = append(c.watches[cl[0]^1], watcher{w, cl[1]})
+		c.watches[cl[1]^1] = append(c.watches[cl[1]^1], watcher{w, cl[0]})
 	}
 	return nil
 }

@@ -308,3 +308,228 @@ func TestHugeVariableIndexBoundedMemory(t *testing.T) {
 		t.Fatal("literal MinInt32 (no negation in int32) accepted")
 	}
 }
+
+// TestDeletedBinaryClauseStopsPropagating is the binary case of
+// TestDeletionDoesNotUnsoundlyKeepPropagating. A binary clause's
+// watchers decide from their blocker without reading the clause, so
+// they never see its deleted bit: deletion must unhook them, one copy
+// at a time when the clause is live twice.
+func TestDeletedBinaryClauseStopsPropagating(t *testing.T) {
+	ck := NewSessionChecker()
+	for _, cl := range [][]int32{{1, 2}, {1, 2}, {-1, 2}} {
+		if err := ck.AddInput(cl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Each probe adds a fresh variable, so the lemma it installs cannot
+	// make {2} itself follow.
+	if err := ck.AddLearnt([]int32{2, 4}); err != nil {
+		t.Fatalf("RUP clause rejected: %v", err)
+	}
+	if err := ck.Delete([]int32{2, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.AddLearnt([]int32{2, 5}); err != nil {
+		t.Fatalf("RUP clause rejected with one copy of {1,2} live: %v", err)
+	}
+	if err := ck.Delete([]int32{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.AddLearnt([]int32{2, 6}); err == nil {
+		t.Fatal("learnt clause verified against a deleted binary clause")
+	}
+	if err := ck.Delete([]int32{1, 2}); err == nil {
+		t.Fatal("third delete of a clause added twice accepted")
+	}
+	for p, ws := range ck.watches {
+		for _, w := range ws {
+			if w.cref < 0 && ck.arena[^w.cref]&1 != 0 {
+				t.Errorf("literal %d still watches deleted binary clause %d", p, ^w.cref)
+			}
+		}
+	}
+}
+
+// TestRenumberingNearBoundStaysLinear walks each new variable index up
+// to just under the dense slice's growth bound, the most the slice may
+// cover, and requires allocation to stay linear in the trace: the slice
+// grows geometrically, never one index at a time, and never past the
+// bound.
+func TestRenumberingNearBoundStaysLinear(t *testing.T) {
+	const n = 50000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ck := NewSessionChecker()
+	first := int32(denseBound(0) - 1)
+	prev := first
+	for i := 1; i < n; i++ {
+		// i variables are known before v; the clause says prev → v.
+		v := int32(denseBound(i) - 1)
+		if err := ck.AddInput([]int32{-prev, v}); err != nil {
+			t.Fatal(err)
+		}
+		prev = v
+	}
+	runtime.ReadMemStats(&after)
+	if len(ck.sparse) != 0 || len(ck.dense) > denseBound(n) {
+		t.Fatalf("%d sparse entries, dense slice %d over bound %d", len(ck.sparse), len(ck.dense), denseBound(n))
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d > 2048*n {
+		t.Fatalf("%d variables allocated %d bytes (%d per variable)", n, d, d/n)
+	}
+	if err := ck.CheckFinal([]int32{-first, prev}); err != nil {
+		t.Fatalf("implication chain not RUP: %v", err)
+	}
+	// One index above the bound goes to the map.
+	if err := ck.AddInput([]int32{int32(denseBound(n + 1)), prev}); err != nil {
+		t.Fatal(err)
+	}
+	if len(ck.sparse) != 1 {
+		t.Fatalf("index above the bound: %d sparse entries, want 1", len(ck.sparse))
+	}
+}
+
+// TestRenumberingSparseIndexSurvivesGrowth: an index first seen above
+// the bound lives in the map; once the dense slice grows past it, the
+// variable must keep its dense index rather than get a fresh one.
+func TestRenumberingSparseIndexSurvivesGrowth(t *testing.T) {
+	ck := NewSessionChecker()
+	v := int32(denseBound(0) + 100)
+	if err := ck.AddInput([]int32{-v, 1}); err != nil { // v → 1
+		t.Fatal(err)
+	}
+	// Enough variables that the bound passes v, then one index beyond v
+	// so the slice covers it.
+	for i := int32(2); denseBound(len(ck.val)/2) <= int(v); i++ {
+		if err := ck.AddInput([]int32{i, -i - 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ck.AddInput([]int32{v + 1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if len(ck.dense) <= int(v) {
+		t.Fatalf("dense slice of %d does not cover %d", len(ck.dense), v)
+	}
+	if err := ck.CheckFinal([]int32{-v, 1}); err != nil {
+		t.Fatalf("v renumbered on second sight: %v", err)
+	}
+}
+
+// FuzzSessionChecker drives the checker with a small trace decoded from
+// the input and requires it to accept exactly the steps the brute-force
+// oracle of TestSessionCheckerMatchesOracle accepts. The first byte
+// picks how many of eight variables the trace uses; the pool mixes
+// small indices with ones above the dense renumbering bound. Each step
+// is an op byte and a width byte followed by width literal bytes: input,
+// learnt, final, a delete of the given clause, or a delete of a live
+// clause (chosen by the width byte) with its literals reversed.
+func FuzzSessionChecker(f *testing.F) {
+	f.Add([]byte{3, 0, 2, 2, 4, 0, 2, 3, 4, 1, 1, 4, 3, 2, 2, 4, 1, 1, 4})
+	f.Add([]byte{7, 0, 3, 2, 5, 9, 0, 2, 3, 6, 4, 0, 3, 10, 12, 14, 2, 2, 11, 13, 4, 1, 1, 1, 10})
+	f.Add([]byte{1, 0, 1, 0, 0, 1, 1, 2, 0, 0})
+	pool := [8]int32{1, 2, 3, 4, 5000, 1 << 20, math.MaxInt32 - 1, math.MaxInt32}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		nvars := 1 + int(data[0]%8)
+		data = data[1:]
+		ck := NewSessionChecker()
+		o := &rupOracle{root: map[int32]bool{}}
+		for step := 0; len(data) >= 2 && step < 64; step++ {
+			op, width := data[0]%5, int(data[1]%5)
+			choice := int(data[1])
+			data = data[2:]
+			var cl []int32
+			if op == 4 {
+				if len(o.live) == 0 {
+					continue
+				}
+				cl = slices.Clone(o.live[choice%len(o.live)])
+				slices.Reverse(cl)
+				op = 3
+			} else {
+				width = min(width, len(data))
+				for _, b := range data[:width] {
+					l := pool[int(b>>1)%nvars]
+					if b&1 != 0 {
+						l = -l
+					}
+					cl = append(cl, l)
+				}
+				data = data[width:]
+			}
+			var got error
+			var want bool
+			switch op {
+			case 0:
+				got, want = ck.AddInput(cl), true
+				o.install(cl)
+			case 1, 2:
+				if op == 1 {
+					got = ck.AddLearnt(cl)
+				} else {
+					got = ck.CheckFinal(cl)
+				}
+				if want = o.rup(cl); want {
+					o.install(cl)
+				}
+			case 3:
+				got, want = ck.Delete(cl), o.remove(cl)
+			}
+			if (got == nil) != want {
+				t.Fatalf("step %d: op %d clause %v: checker error %v, oracle accepts %v", step, op, cl, got, want)
+			}
+			if ck.RootConflict() != o.refuted {
+				t.Fatalf("step %d: root conflict %v, oracle %v", step, ck.RootConflict(), o.refuted)
+			}
+		}
+	})
+}
+
+// TestDeleteUnderHashCollision: two different live clauses of one
+// length with the same clause hash (found by a generalized-birthday
+// search over 16-subsets of the first 120 positive literals) share one
+// index slot, so each deletion must confirm its clause literal by
+// literal and remove that one, whichever is deleted first.
+func TestDeleteUnderHashCollision(t *testing.T) {
+	a := []int32{2, 7, 9, 13, 17, 21, 22, 30, 31, 43, 48, 52, 54, 57, 59, 60}
+	b := []int32{66, 68, 71, 72, 78, 80, 85, 90, 94, 95, 97, 98, 100, 108, 114, 116}
+	for _, order := range [][2][]int32{{a, b}, {b, a}} {
+		ck := NewSessionChecker()
+		all := make([]int32, 120)
+		for i := range all {
+			all[i] = int32(i + 1) // variable v gets dense index v-1
+		}
+		for _, cl := range [][]int32{all, a, b} {
+			if err := ck.AddInput(cl); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ck.intern(a); err != nil {
+			t.Fatal(err)
+		}
+		ck.unmark()
+		ha := clauseHash(ck.lits)
+		if err := ck.intern(b); err != nil {
+			t.Fatal(err)
+		}
+		ck.unmark()
+		if hb := clauseHash(ck.lits); ha != hb {
+			t.Fatalf("fixture no longer collides (%#x, %#x): search again for the current clauseHash", ha, hb)
+		}
+		// a holds the index slot and b its overflow list.
+		for i, cl := range order {
+			if err := ck.Delete(cl); err != nil {
+				t.Fatalf("delete %d of a live colliding clause: %v", i, err)
+			}
+			if ck.Delete(cl) == nil {
+				t.Fatalf("delete %d: second delete of a colliding clause accepted", i)
+			}
+		}
+		if len(ck.byHash) != 1 || len(ck.collide) != 0 {
+			t.Fatalf("index keeps %d slots and %d overflow lists, want only the wide clause's", len(ck.byHash), len(ck.collide))
+		}
+	}
+}

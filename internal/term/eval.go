@@ -36,25 +36,48 @@ func (a *Assign) memRead(m memVal, addr uint64) uint8 {
 }
 
 // EvalBV evaluates a BV-sorted term to its numeric value under a.
-func (a *Assign) EvalBV(t *Term) (uint64, error) {
+func (a *Assign) EvalBV(t *Term) (uint64, error) { return NewEvaluator(a).EvalBV(t) }
+
+// EvalBool evaluates a Bool-sorted term under a.
+func (a *Assign) EvalBool(t *Term) (bool, error) { return NewEvaluator(a).EvalBool(t) }
+
+// Evaluator evaluates terms under one assignment and keeps each node's
+// value across calls, so evaluating K roots of one shared DAG of N nodes
+// costs O(N) in all rather than O(K·N). The assignment must not change
+// while the evaluator is in use.
+type Evaluator struct {
+	a    *Assign
+	memo map[*Term]interface{}
+}
+
+// NewEvaluator returns an evaluator under a with an empty memo.
+func NewEvaluator(a *Assign) *Evaluator {
+	return &Evaluator{a: a, memo: make(map[*Term]interface{})}
+}
+
+// Evaluated reports how many distinct nodes e has evaluated.
+func (e *Evaluator) Evaluated() int { return len(e.memo) }
+
+// EvalBV evaluates a BV-sorted term to its numeric value.
+func (e *Evaluator) EvalBV(t *Term) (uint64, error) {
 	switch t.SortKind() {
 	case SortBV:
 	default:
 		return 0, fmt.Errorf("smt: EvalBV on non-BV term %v", t)
 	}
-	v, err := a.eval(t)
+	v, err := e.eval(t)
 	if err != nil {
 		return 0, err
 	}
 	return v.(uint64), nil
 }
 
-// EvalBool evaluates a Bool-sorted term under a.
-func (a *Assign) EvalBool(t *Term) (bool, error) {
+// EvalBool evaluates a Bool-sorted term.
+func (e *Evaluator) EvalBool(t *Term) (bool, error) {
 	if t.SortKind() != SortBool {
 		return false, fmt.Errorf("smt: EvalBool on non-Bool term %v", t)
 	}
-	v, err := a.eval(t)
+	v, err := e.eval(t)
 	if err != nil {
 		return false, err
 	}
@@ -62,20 +85,19 @@ func (a *Assign) EvalBool(t *Term) (bool, error) {
 }
 
 // eval evaluates the DAG under root in post order — arguments left to
-// right, each shared node once — so the first node to fail is the
-// leftmost deepest one. It keeps an explicit stack: terms decoded from
-// certificates are untrusted, and a chain a million levels deep must not
-// overflow the goroutine stack.
-func (a *Assign) eval(root *Term) (interface{}, error) {
+// right, each node not yet in the memo once — so the first node to fail
+// is the leftmost deepest one. It keeps an explicit stack: terms decoded
+// from certificates are untrusted, and a chain a million levels deep
+// must not overflow the goroutine stack.
+func (e *Evaluator) eval(root *Term) (interface{}, error) {
 	type frame struct {
 		t    *Term
 		next int // arguments pushed so far
 	}
-	cache := make(map[*Term]interface{})
 	var stack []frame
 	var vals []interface{} // evaluated arguments of the open frames, in order
 	push := func(t *Term) {
-		if v, ok := cache[t]; ok {
+		if v, ok := e.memo[t]; ok {
 			vals = append(vals, v)
 		} else {
 			stack = append(stack, frame{t: t})
@@ -92,11 +114,11 @@ func (a *Assign) eval(root *Term) (interface{}, error) {
 		t := f.t
 		stack = stack[:len(stack)-1]
 		base := len(vals) - len(t.Args)
-		v, err := a.apply(t, vals[base:])
+		v, err := e.a.apply(t, vals[base:])
 		if err != nil {
 			return nil, err
 		}
-		cache[t] = v
+		e.memo[t] = v
 		vals = append(vals[:base], v)
 	}
 	return vals[0], nil
